@@ -401,16 +401,14 @@ def _desc_brief(desc) -> str:
     return f"{desc.kind}[{' '.join(bits)}]"
 
 
-def _point_json(pt, cs=None) -> str:
+def _point_json(pt, cs) -> str:
     if pt[0] == "limit":
         return "limit:{" + ",".join(_tokens(pt[1])) + "}"
     if pt[0] == "member":
         h = pt[1]
         tag = f"fan:{h[1]}" if h[0] == "fan" else f"pfan:{h[1]}/{h[2]}"
         return f"member:{tag}/{pt[2]}"
-    if cs is not None:
-        return "component:" + _desc_brief(cs.descriptor(pt[1]))
-    return "component:" + "|".join(map(str, pt[1][1]))[:64]
+    return "component:" + _desc_brief(cs.descriptor(pt[1]))
 
 
 def _cmd_check_tangle(args) -> int:

@@ -85,9 +85,6 @@ class ComponentDescriptor:
         h, _ = self.families[0]
         return (2,) + tuple(handle_sort_key(h)), self.key()
 
-    def is_infinite_family(self) -> bool:
-        return self.kind == "family"
-
     def handle(self) -> Handle:
         assert self.kind == "family"
         return self.families[0][0]
@@ -345,13 +342,6 @@ class ComponentSystem:
     def tail_descriptor(self, strip_id: str) -> ComponentDescriptor:
         return self._node_desc[("tail", strip_id)]
 
-    def tail_start(self, strip_id: str) -> int:
-        d = self.tail_descriptor(strip_id)
-        for seg in d.tails:
-            if seg.strip == strip_id:
-                return seg.start
-        raise AssertionError(f"tail of {strip_id} lost")
-
     def handle_descriptor(self, handle: Handle) -> ComponentDescriptor:
         """The descriptor whose material includes the copies of handle."""
         if handle[0] == "pfan" and handle[2] >= self.T.get(handle[1], 0):
@@ -389,27 +379,10 @@ class ComponentSystem:
     def cx_minus(self) -> tuple:
         return self._cx_minus
 
-    def member_count_below(self, desc: ComponentDescriptor, copies: int) -> int:
-        assert desc.kind == "family"
-        excl = desc.excluded()
-        return copies - sum(1 for k in excl if k < copies)
-
 
 def delete(g: PatternGraph, X) -> ComponentSystem:
     """Exact component decomposition of G - X."""
     return ComponentSystem(g, X)
-
-
-def family(cs: ComponentSystem, Y) -> CXFamily:
-    return cs.family(Y)
-
-
-def crit_of(cs: ComponentSystem) -> frozenset:
-    return cs.crit()
-
-
-def cx_minus(cs: ComponentSystem) -> tuple:
-    return cs.cx_minus()
 
 
 def _probe_vertex(g: PatternGraph, desc: ComponentDescriptor) -> VertexId:

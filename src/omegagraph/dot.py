@@ -1,12 +1,9 @@
-"""DOT rendering of truncations and FDU spaces."""
+"""DOT rendering of truncations."""
 
 from __future__ import annotations
 
-import zlib
-
 from .ids import VertexId, format_vertex
 from .pattern import FiniteGraph
-from .gamma import FduSpace
 
 
 def _q(s: str) -> str:
@@ -25,33 +22,3 @@ def truncation_dot(fg: FiniteGraph, name: str = "truncation") -> str:
     lines.append("}")
     return "\n".join(lines) + "\n"
 
-
-def _point_label(pt) -> str:
-    if pt[0] == "named":
-        return f"comp:{zlib.crc32(repr(pt[1]).encode()) & 0xffffff:06x}"
-    if pt[0] == "member":
-        return f"member:{pt[1]}/{pt[2]}"
-    return f"limit:{pt[1]}"
-
-
-def fdu_dot(space: FduSpace, name: str = "space", sample_members: int = 3) -> str:
-    """Clusters drawn as fan-in arrows onto their limit points."""
-    lines = [f"digraph {_q(name)} {{", "  node [shape=point];"]
-    for p in space.isolated:
-        lines.append(f"  {_q(_point_label(p))} [shape=circle];")
-    for c in space.clusters:
-        lim = f"limit:{sorted(map(str, c.limit)) if isinstance(c.limit, frozenset) else c.limit}"
-        lines.append(f"  {_q(lim)} [shape=doublecircle];")
-        for p in c.named_members:
-            lines.append(f"  {_q(_point_label(p))} -> {_q(lim)};")
-        for h, rule in c.groups:
-            shown = 0
-            k = 0
-            while shown < sample_members and k < sample_members * 4:
-                if rule(k):
-                    lines.append(f"  {_q(f'member:{h}/{k}')} -> {_q(lim)};")
-                    shown += 1
-                k += 1
-            lines.append(f"  {_q(f'member:{h}/...')} -> {_q(lim)} [style=dotted];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"

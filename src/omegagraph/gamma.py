@@ -26,7 +26,6 @@ from .components import (
     Handle,
     NotNestedError,
     _probe_vertex,
-    copy_vertices,
     delete,
     handle_sort_key,
     unique_component_meeting,
@@ -76,9 +75,6 @@ class Cluster:
 class FduSpace:
     isolated: tuple = ()  # points
     clusters: tuple = ()
-
-    def limit_labels(self):
-        return [c.limit for c in self.clusters]
 
     def membership_rule(self, handle: Handle) -> FamilyRule:
         """Which copies of handle are points of this space."""
@@ -275,17 +271,11 @@ def is_continuous(m: FduMap) -> ContinuityVerdict:
                     False,
                     f"family {h} converges to {target_cluster.limit} but the limit maps to {lim_img}",
                 )
-            gap = rule_and(rule, m.dst.cluster_of_handle(th).group_dict().get(th, RULE_FALSE).negate())
-            exceptional = {p[2] for p in m.exceptions if p[0] == "member" and p[1] == h}
+            gap = rule_and(rule, target_cluster.group_dict().get(th, RULE_FALSE).negate())
             if gap.is_infinite():
                 return ContinuityVerdict(
                     False, f"family {h} leaves the target cluster infinitely often"
                 )
-            stray = [k for k in gap.members() if k not in exceptional]
-            for k in stray:
-                img = m.apply(("member", h, k))
-                # finitely many strays are harmless for convergence
-                _ = img
     return ContinuityVerdict(True)
 
 
@@ -436,7 +426,7 @@ def verify_system(css: dict, maps: dict) -> SystemReport:
         for d in cs_s.explicit_descriptors:
             samples = sorted(d.vertices, key=VertexId.sort_key)[:3]
             for seg in d.tails:
-                samples.append(_tail_probe(seg, cs_s.g.strip(seg.strip)))
+                samples.append(stripv(seg.strip, seg.start, min(cs_s.g.strip(seg.strip).locals)))
             img = m.apply(named_point(d))
             for v in samples:
                 if v in cs_t.X:
@@ -446,10 +436,8 @@ def verify_system(css: dict, maps: dict) -> SystemReport:
                     detail = f"component {d.key()[0]} probe {v} lands elsewhere"
         for d in cs_s.family_descriptors:
             h = d.handle()
-            k = 0
-            while k in d.excluded():
-                k += 1
-            probe = sorted(copy_vertices(cs_s.g, h, k), key=VertexId.sort_key)[0]
+            probe = _probe_vertex(cs_s.g, d)
+            k = probe.k
             if m.apply(member_point(h, k)) != locate_point(cs_t, probe):
                 ok = False
                 detail = f"family {h} member {k} disagrees with component inclusion"
@@ -466,10 +454,6 @@ def verify_system(css: dict, maps: dict) -> SystemReport:
                         maps_equal(lhs, rhs),
                     )
     return report
-
-
-def _tail_probe(seg, strip):
-    return stripv(seg.strip, seg.start, min(strip.locals))
 
 
 def check_inverse_system(g: PatternGraph, family) -> SystemReport:

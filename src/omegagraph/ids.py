@@ -95,11 +95,3 @@ def parse_vertex(token: str) -> VertexId:
     except (ValueError, TypeError) as exc:
         raise ValueError(f"malformed vertex token {token!r}") from exc
     raise ValueError(f"unknown vertex kind in token {token!r}")
-
-
-def sorted_vertices(vs) -> list[VertexId]:
-    return sorted(vs, key=VertexId.sort_key)
-
-
-def format_vertex_set(vs) -> list[str]:
-    return [format_vertex(v) for v in sorted_vertices(vs)]

@@ -122,13 +122,6 @@ class PatternGraph:
     def is_finite(self) -> bool:
         return not self.strips and not self.fans
 
-    def contains(self, v: VertexId) -> bool:
-        try:
-            self.check_vertex(v)
-            return True
-        except UnknownVertexError:
-            return False
-
     def check_vertex(self, v: VertexId) -> VertexId:
         """Return v if it is well-formed in this graph, else raise."""
         if v.kind == "core":
@@ -422,9 +415,6 @@ class Neighborhood:
     finite: frozenset
     rules: tuple[SymbolicRule, ...]
 
-    def is_infinite(self) -> bool:
-        return bool(self.rules)
-
 
 def neighbors(g: PatternGraph, v: VertexId) -> Neighborhood:
     """Exact neighbourhood of v: a finite part plus symbolic rules."""
@@ -514,9 +504,6 @@ class FiniteGraph:
     vertices: tuple[VertexId, ...]
     edges: tuple[frozenset, ...]
     boundary: frozenset  # vertices adjacent to material cut off by truncation
-
-    def vertex_set(self) -> frozenset:
-        return frozenset(self.vertices)
 
     def adjacency(self) -> dict:
         adj = {v: set() for v in self.vertices}

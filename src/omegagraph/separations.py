@@ -437,9 +437,6 @@ class OrientedSeparation:
     def big_subset(self) -> SymbolicSubset:
         return self.sep.side if self.toward_side else self.sep.co_side
 
-    def small_subset(self) -> SymbolicSubset:
-        return self.sep.co_side if self.toward_side else self.sep.side
-
     def big_set(self) -> SymbolicVertexSet:
         return self.sep.side_set(self.toward_side)
 
@@ -469,26 +466,9 @@ def away_from_components(cs: ComponentSystem, subset: SymbolicSubset) -> Oriente
     return Separation(cs, subset).orient(False)
 
 
-# Side vertex sets are cached on their separations, so repeated poset
-# queries across many orientations hit the same immutable objects; the
-# memo keeps strong references, which also keeps its id-based keys valid.
-_SUBSETEQ_MEMO: dict = {}
-
-
-def svs_subseteq(a: SymbolicVertexSet, b: SymbolicVertexSet) -> bool:
-    key = (id(a), id(b))
-    hit = _SUBSETEQ_MEMO.get(key)
-    if hit is not None and hit[0] is a and hit[1] is b:
-        return hit[2]
-    result = a.subseteq(b)
-    if len(_SUBSETEQ_MEMO) < 1_000_000:
-        _SUBSETEQ_MEMO[key] = (a, b, result)
-    return result
-
-
 def le(o1: OrientedSeparation, o2: OrientedSeparation) -> bool:
     """(A,B) <= (C,D)  iff  A is inside C and B contains D."""
-    return svs_subseteq(o1.small_set(), o2.small_set()) and svs_subseteq(o2.big_set(), o1.big_set())
+    return o1.small_set().subseteq(o2.small_set()) and o2.big_set().subseteq(o1.big_set())
 
 
 def lt(o1: OrientedSeparation, o2: OrientedSeparation) -> bool:
@@ -643,7 +623,7 @@ def _infinite_features(svs: SymbolicVertexSet, g: PatternGraph) -> list:
     if svs.is_all:
         return [("tail", s.id) for s in g.strips] + [("handle", ("fan", f.id)) for f in g.fans]
     feats = [("tail", s) for s in sorted(svs.tails)]
-    for h in sorted(svs.copies, key=lambda h: (h[0], h[1], h[2] if len(h) > 2 else -1)):
+    for h in sorted(svs.copies, key=handle_sort_key):
         rule = svs.copies[h]
         assert rule.base in ("true", "false"), "tame sides carry no parity rules"
         if rule.is_infinite():
@@ -691,7 +671,7 @@ def check_tangle(o, g: PatternGraph | None = None) -> TangleVerdict:
             neighbor_memo[i] = {
                 j
                 for j in range(len(ms))
-                if j != i and svs_subseteq(smalls[i], bigs[j]) and svs_subseteq(smalls[j], bigs[i])
+                if j != i and smalls[i].subseteq(bigs[j]) and smalls[j].subseteq(bigs[i])
             }
         return neighbor_memo[i]
 

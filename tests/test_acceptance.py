@@ -10,7 +10,7 @@ import time
 
 from omegagraph.classify import enumerate_critical, infinite_degree_explanation, is_tough, trichotomy
 from omegagraph.cli import _enumerate_seps, main
-from omegagraph.components import delete, family, materialize, oracle_mismatch
+from omegagraph.components import delete, materialize, oracle_mismatch
 from omegagraph.fixture_graphs import all_fixtures, fixture_path
 from omegagraph.gamma import (
     Cluster,
@@ -120,7 +120,7 @@ def test_criterion_3_partition_and_crit_formula():
                 if not comp.neighborhood <= X:
                     bad.append((name, "neighborhood outside X"))
                     continue
-                fam = family(cs, comp.neighborhood)
+                fam = cs.family(comp.neighborhood)
                 pieces = [
                     p
                     for d in fam.explicit + fam.families

@@ -12,10 +12,7 @@ from omegagraph.components import (
     UnknownComponentError,
     YContainedInXError,
     bonding_c,
-    crit_of,
-    cx_minus,
     delete,
-    family,
     is_critical,
     materialize,
     oracle_mismatch,
@@ -76,44 +73,44 @@ def test_delete_unknown_vertex(fixtures):
 
 
 # ---------------------------------------------------------------------------
-# family / crit_of / cx_minus
+# family / crit / cx_minus
 
 def test_family_thetafan(fixtures):
     cs = delete(fixtures["thetafan"], {core("a"), core("b")})
-    fam = family(cs, {core("a"), core("b")})
+    fam = cs.family({core("a"), core("b")})
     assert fam.is_infinite() and not fam.explicit
-    assert family(cs, {core("a")}).is_empty()
+    assert cs.family({core("a")}).is_empty()
     with pytest.raises(NotASubsetError):
-        family(cs, {core("a"), core("zzz")})
+        cs.family({core("a"), core("zzz")})
 
 
 def test_family_empty_deletion_collects_everything(fixtures):
     for name in FIXTURE_NAMES:
         g = fixtures[name] if isinstance(fixtures, dict) else None
         cs = delete(g, set())
-        got = family(cs, frozenset())
+        got = cs.family(frozenset())
         assert len(got.explicit) + len(got.families) == len(cs.descriptors)
 
 
 def test_crit_of(fixtures):
-    assert crit_of(delete(fixtures["thetafan"], {core("a"), core("b")})) == {
+    assert delete(fixtures["thetafan"], {core("a"), core("b")}).crit() == {
         _Y(core("a"), core("b"))
     }
-    assert crit_of(delete(fixtures["thetafan"], {core("a")})) == frozenset()
+    assert delete(fixtures["thetafan"], {core("a")}).crit() == frozenset()
     cs = delete(fixtures["comb"], {stripv("s1", 0, "p"), stripv("s1", 1, "p")})
-    assert crit_of(cs) == {_Y(stripv("s1", 0, "p")), _Y(stripv("s1", 1, "p"))}
+    assert cs.crit() == {_Y(stripv("s1", 0, "p")), _Y(stripv("s1", 1, "p"))}
 
 
 def test_cx_minus(fixtures):
-    assert cx_minus(delete(fixtures["thetafan"], {core("a"), core("b")})) == ()
+    assert delete(fixtures["thetafan"], {core("a"), core("b")}).cx_minus() == ()
     cs_ray = delete(fixtures["ray"], {stripv("s1", 0, "p")})
-    assert [d.tails for d in cx_minus(cs_ray)] == [(TailSeg("s1", 1),)]
+    assert [d.tails for d in cs_ray.cx_minus()] == [(TailSeg("s1", 1),)]
     # the comb tail from period 1 has neighborhood {p0}, which is critical,
     # so it belongs to that family and not to the leftover set
     cs_comb = delete(fixtures["comb"], {stripv("s1", 0, "p")})
-    assert cx_minus(cs_comb) == ()
+    assert cs_comb.cx_minus() == ()
     tail = cs_comb.tail_descriptor("s1")
-    assert tail in family(cs_comb, {stripv("s1", 0, "p")}).explicit
+    assert tail in cs_comb.family({stripv("s1", 0, "p")}).explicit
 
 
 def test_is_critical(fixtures):
@@ -263,7 +260,7 @@ def test_partition_law_on_truncations(fixtures):
             if comp.vertices & fg.boundary:
                 continue
             assert comp.neighborhood <= X
-            fam = family(cs, comp.neighborhood)
+            fam = cs.family(comp.neighborhood)
             pieces = [
                 p
                 for d in fam.explicit + fam.families
@@ -285,4 +282,4 @@ def test_crit_formula_against_growing_counts(fixtures):
                 if Y <= X and n >= m - len(X)
             }
             candidates = found if candidates is None else candidates & found
-        assert candidates == crit_of(cs), (name, sorted(map(str, X)))
+        assert candidates == cs.crit(), (name, sorted(map(str, X)))

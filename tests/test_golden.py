@@ -1,0 +1,80 @@
+"""Byte-identity guard: SHA-256 digests of every subcommand's output.
+
+Each fixture runs analyze, report, components, critical, classify,
+limit, check-tangle (where a strip exists), distinguish (where two
+points exist) and export-dot.  The arguments are derived from the
+CLI's own output: the first critical set of ``critical`` and the first
+points of ``report``'s tangles.  Regenerate the digests only when the
+output is meant to change:
+
+    PYTHONPATH=src python3 tests/test_golden.py > tests/golden_digests.json
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from omegagraph.cli import main
+from omegagraph.fixture_graphs import fixture_path, load_fixture
+from conftest import FIXTURE_NAMES
+
+GOLDEN = Path(__file__).with_name("golden_digests.json")
+
+
+def _run(argv) -> tuple[int, str]:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    return code, buf.getvalue()
+
+
+def cases(name: str) -> list[list[str]]:
+    spec = str(fixture_path(name))
+    _, out = _run(["critical", spec, "--json"])
+    sets = json.loads(out)["sets"]
+    first_crit = ",".join(sets[0]) if sets else ""
+    _, out = _run(["report", spec, "--json", "--horizon", "2"])
+    points = [t["point"] for t in json.loads(out)["tangles"]]
+    argvs = [
+        ["analyze", spec, "--json"],
+        ["report", spec, "--json", "--horizon", "2"],
+        ["components", spec, "--json", "--delete", first_crit],
+        ["critical", spec, "--json"],
+        ["classify", spec, "--json"],
+        ["limit", spec, "--json", "--family", "{};{" + first_crit + "}"],
+    ]
+    strips = load_fixture(name).strips
+    if strips:
+        argvs.append(["check-tangle", spec, "--json", "--point", f"end:{strips[0].id}"])
+    if len(points) >= 2:
+        argvs.append(["distinguish", spec, "--json", "--a", points[0], "--b", points[1]])
+    argvs.append(["export-dot", spec])
+    return argvs
+
+
+def digests(name: str) -> dict[str, str]:
+    out = {}
+    for argv in cases(name):
+        code, text = _run(argv)
+        out[" ".join([name, argv[0]] + argv[2:])] = f"{code} {hashlib.sha256(text.encode()).hexdigest()}"
+    return out
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_output_matches_golden_digests(name):
+    want = {k: v for k, v in json.loads(GOLDEN.read_text()).items() if k.split(" ", 1)[0] == name}
+    assert want, f"no golden digests recorded for {name}"
+    assert digests(name) == want
+
+
+if __name__ == "__main__":
+    record = {}
+    for fixture in FIXTURE_NAMES:
+        record.update(digests(fixture))
+    print(json.dumps(record, indent=1, sort_keys=True))

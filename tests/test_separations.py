@@ -517,7 +517,7 @@ def test_separation_sides_partition_on_truncations(fixtures):
 
 def test_empty_attachment_fan_makes_empty_set_critical():
     from omegagraph.pattern import validate
-    from omegagraph.components import crit_of, is_critical
+    from omegagraph.components import is_critical
 
     g = validate(
         {
@@ -532,7 +532,7 @@ def test_empty_attachment_fan_makes_empty_set_critical():
     )
     assert is_critical(g, frozenset())
     cs = delete(g, set())
-    assert crit_of(cs) == {frozenset()}
+    assert cs.crit() == {frozenset()}
     (d,) = cs.descriptors
     assert d.kind == "family" and d.neighborhood == frozenset()
     xi = crit_point(g, frozenset())
@@ -572,3 +572,17 @@ def test_two_fans_sharing_a_neighborhood(fixtures):
         induced_orientation(crit_point(g, Y), enumerate_tame_separations(cs)), g
     )
     assert verdict.ok
+
+
+def test_tangle_check_keeps_no_side_sets_alive(fixtures):
+    import gc
+    import weakref
+
+    from omegagraph.cli import _enumerate_seps
+
+    seps = _enumerate_seps(fixtures["combo"], 2, 3)
+    assert check_tangle(induced_orientation(end_point("s1"), seps), fixtures["combo"]).ok
+    refs = [weakref.ref(seps[0].side_set(True)), weakref.ref(seps[0].side_set(False))]
+    del seps
+    gc.collect()
+    assert [r() for r in refs] == [None, None]
