@@ -13,6 +13,9 @@ by instantiating the finitely many periods/copies that X can touch and
 running union-find over explicit vertices plus one symbolic node per
 strip tail and per fan family; beyond the stabilization bound the
 pattern is untouched, so the symbolic parts are exact.
+
+Construction is linear in the instantiated nodes: X is read once, and
+each node is found once when the classes are gathered.
 """
 
 from __future__ import annotations
@@ -165,22 +168,24 @@ class ComponentSystem:
 
     def _build(self):
         g, X = self.g, self.X
+        # read X once: periods it mentions per strip, copies it hits per handle
+        mentioned: dict[str, list[int]] = {s.id: [t for _, t, _ in s.attachments] for s in g.strips}
+        hit: dict[Handle, list[int]] = {}
+        for v in X:
+            if v.kind in ("strip", "pfan"):
+                mentioned[v.owner].append(v.t)
+            if v.kind == "fan":
+                hit.setdefault(("fan", v.owner), []).append(v.k)
+            elif v.kind == "pfan":
+                hit.setdefault(("pfan", v.owner, v.t), []).append(v.k)
         # horizon per strip: X touches only periods below it, minus one
-        self.T: dict[str, int] = {}
-        for s in g.strips:
-            mentioned = [v.t for v in X if v.kind in ("strip", "pfan") and v.owner == s.id]
-            mentioned += [t for _, t, _ in s.attachments]
-            self.T[s.id] = max(mentioned) + 2 if mentioned else 0
+        self.T: dict[str, int] = {sid: max(ts) + 2 if ts else 0 for sid, ts in mentioned.items()}
         # copies of each family meeting X get instantiated explicitly
-        self.excl: dict[Handle, frozenset] = {}
-        for f in g.fans:
-            self.excl[("fan", f.id)] = frozenset(v.k for v in X if v.kind == "fan" and v.owner == f.id)
+        handles: list[Handle] = [("fan", f.id) for f in g.fans]
         for s in g.strips:
             if s.periodic_fan:
-                for t in range(self.T[s.id]):
-                    self.excl[("pfan", s.id, t)] = frozenset(
-                        v.k for v in X if v.kind == "pfan" and v.owner == s.id and v.t == t
-                    )
+                handles.extend(("pfan", s.id, t) for t in range(self.T[s.id]))
+        self.excl: dict[Handle, frozenset] = {h: frozenset(hit.get(h, ())) for h in handles}
 
         explicit: list[VertexId] = [core(c) for c in g.core_vertices]
         for s in g.strips:
@@ -250,11 +255,12 @@ class ComponentSystem:
                     else:
                         wire(vk(pfanv(handle[1], handle[2], k, l)), vk(stripv(handle[1], handle[2], c)))
 
-        # gather classes
+        # gather classes and their members in one pass over the nodes
         classes: dict[tuple, dict] = {}
         for n in nodes:
             root = uf.find(n)
-            cls = classes.setdefault(root, {"verts": set(), "tails": [], "fams": [], "N": set()})
+            cls = classes.setdefault(root, {"members": [], "verts": set(), "tails": [], "fams": [], "N": set()})
+            cls["members"].append(n)
             if n[0] == "v":
                 cls["verts"].add(n[1])
             elif n[0] == "tail":
@@ -266,8 +272,7 @@ class ComponentSystem:
         self._node_desc: dict[tuple, ComponentDescriptor] = {}
         self._vertex_desc: dict[VertexId, ComponentDescriptor] = {}
         descs: list[ComponentDescriptor] = []
-        for root, cls in classes.items():
-            members = [n for n in nodes if uf.find(n) == root]
+        for cls in classes.values():
             if not cls["verts"] and not cls["tails"] and len(cls["fams"]) == 1:
                 handle = cls["fams"][0]
                 desc = ComponentDescriptor(
@@ -299,7 +304,7 @@ class ComponentSystem:
                     frozenset(cls["N"]),
                 )
             descs.append(desc)
-            for n in members:
+            for n in cls["members"]:
                 if n[0] == "v":
                     self._vertex_desc[n[1]] = desc
                 else:

@@ -10,19 +10,21 @@ vertex of some copy of a fan, or a vertex of some copy of a per-period
     pfan:stripid/period/copy/local
 
 and is used by the CLI and all JSON reports.
+
+A ``VertexId`` is an immutable named tuple: it hashes and compares equal
+exactly as the plain 5-tuple ``(kind, owner, t, k, local)``, and it is
+ordered by ``sort_key`` (kind order core < strip < fan < pfan, then the
+remaining fields), not by tuple order.
 """
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 _KIND_ORDER = {"core": 0, "strip": 1, "fan": 2, "pfan": 3}
 
 
-@functools.total_ordering
-@dataclass(frozen=True)
-class VertexId:
+class VertexId(NamedTuple):
     kind: str  # "core" | "strip" | "fan" | "pfan"
     owner: str = ""  # core name, strip id, or fan id
     t: int = -1  # period index (strip, pfan)
@@ -32,10 +34,26 @@ class VertexId:
     def sort_key(self):
         return (_KIND_ORDER[self.kind], self.owner, self.t, self.k, self.local)
 
+    # tuple's own ordering is by field order; vertices order by sort_key
     def __lt__(self, other):
         if not isinstance(other, VertexId):
             return NotImplemented
         return self.sort_key() < other.sort_key()
+
+    def __le__(self, other):
+        if not isinstance(other, VertexId):
+            return NotImplemented
+        return self.sort_key() <= other.sort_key()
+
+    def __gt__(self, other):
+        if not isinstance(other, VertexId):
+            return NotImplemented
+        return self.sort_key() > other.sort_key()
+
+    def __ge__(self, other):
+        if not isinstance(other, VertexId):
+            return NotImplemented
+        return self.sort_key() >= other.sort_key()
 
     def __str__(self):
         return format_vertex(self)

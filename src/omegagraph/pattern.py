@@ -39,7 +39,7 @@ class UnknownVertexError(KeyError):
 class Violation:
     kind: str  # StripStripEdge | DanglingReference | DisconnectedPeriodChain
     #          | AttachmentNotCovered | NameCollision | DisconnectedTemplate
-    #          | InvalidEdge
+    #          | InvalidEdge | DuplicateId
     element: str
     message: str
 
@@ -252,6 +252,15 @@ def validate(raw: dict) -> PatternGraph:
 
     fans = [_parse_fan(fraw, str(fraw.get("id", f"fan{i}")), violations) for i, fraw in enumerate(raw.get("fans", []))]
     dominations = tuple((str(d.get("core")), str(d.get("strip"))) for d in raw.get("dominations", []))
+
+    # Strip ids and core fan ids key the graph's indexes; a repeated id
+    # would silently shadow the earlier declaration.
+    for what, ids in (("strip", [s.id for s in strips]), ("fan", [f.id for f in fans])):
+        declared: set[str] = set()
+        for i in ids:
+            if i in declared:
+                violations.append(Violation("DuplicateId", i, f"{what} id {i!r} is declared more than once"))
+            declared.add(i)
 
     # Name collisions: core names, strip locals and fan locals live in one
     # shared namespace so tokens stay unambiguous.

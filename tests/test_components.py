@@ -18,6 +18,7 @@ from omegagraph.components import (
     oracle_mismatch,
     unique_component_meeting,
 )
+from omegagraph import oracle
 from omegagraph.ids import core, stripv
 from omegagraph.oracle import components_after_deletion, count_by_neighborhood
 from omegagraph.pattern import UnknownVertexError, truncate
@@ -70,6 +71,25 @@ def test_delete_domray_prefix(fixtures):
 def test_delete_unknown_vertex(fixtures):
     with pytest.raises(UnknownVertexError):
         delete(fixtures["ray"], {core("zz")})
+
+
+def test_delete_find_calls_grow_linearly(fixtures, monkeypatch):
+    # union-find work is deterministic, so it pins the growth without a clock
+    calls = 0
+    find = oracle.UnionFind.find
+
+    def counting_find(self, x):
+        nonlocal calls
+        calls += 1
+        return find(self, x)
+
+    monkeypatch.setattr(oracle.UnionFind, "find", counting_find)
+    counts = {}
+    for n in (200, 400):
+        calls = 0
+        delete(fixtures["comb"], {stripv("s1", t, "p") for t in range(n)})
+        counts[n] = calls
+    assert counts[400] <= 2.2 * counts[200], counts
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,9 @@ from conftest import random_pattern
     ["core:a", "strip:s1/5/p", "fan:f1/3/u", "pfan:s1/2/0/w"],
 )
 def test_vertex_token_round_trip(token):
-    assert format_vertex(parse_vertex(token)) == token
+    v = parse_vertex(token)
+    assert format_vertex(v) == token
+    assert parse_vertex(format_vertex(v)) == v
 
 
 @pytest.mark.parametrize("bad", ["a", "core:", "strip:s1/5", "fan:f1/x/u", "blob:1"])
@@ -50,6 +52,34 @@ def test_vertex_token_rejects_malformed(bad):
 def test_vertex_order_is_total():
     vs = [core("b"), stripv("s1", 0, "p"), fanv("f1", 2, "u"), core("a"), pfanv("s1", 0, 1, "w")]
     assert sorted(vs, key=VertexId.sort_key) == sorted(vs)
+
+
+def test_vertex_order_follows_sort_key_not_field_order():
+    # as plain tuples "fan" < "pfan" < "strip"; the kind order puts strips first
+    z, s, f, pf = core("z"), stripv("s", 0, "p"), fanv("a", 0, "u"), pfanv("a", 0, 0, "w")
+    assert sorted([pf, f, s, z]) == [z, s, f, pf]
+    assert z < s < f < pf and pf > f > s > z
+    assert s <= s and s >= s and not s < s
+    assert min([f, s]) == s and max([f, s]) == f
+
+
+def test_vertex_id_is_its_plain_tuple():
+    v = pfanv("s1", 2, 0, "w")
+    assert v == ("pfan", "s1", 2, 0, "w")
+    assert hash(v) == hash((v.kind, v.owner, v.t, v.k, v.local))
+    assert core("a") == VertexId("core", "a", -1, -1, "")
+
+
+def test_vertex_id_rejects_foreign_order_and_mutation():
+    v = stripv("s1", 5, "p")
+    with pytest.raises(TypeError):
+        v < 1
+    with pytest.raises(TypeError):
+        v >= 1
+    with pytest.raises(AttributeError):
+        v.t = 6
+    assert str(v) == "strip:s1/5/p"
+    assert repr(v) == "VertexId('strip:s1/5/p')"
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +167,32 @@ def test_name_collision_rejected():
     with pytest.raises(PatternValidationError) as exc:
         validate(raw)
     assert any(v.kind == "NameCollision" for v in exc.value.violations)
+
+
+@pytest.mark.parametrize("section", ["strips", "fans"])
+def test_duplicate_id_rejected(section):
+    raw = {
+        "core": {"vertices": ["a"], "edges": []},
+        "strips": [
+            {"id": "s", "period": {"vertices": ["p"], "edges": []}, "step_edges": [["p", "p"]]},
+            {"id": "s2", "period": {"vertices": ["q"], "edges": []}, "step_edges": [["q", "q"]]},
+        ],
+        "fans": [
+            {"id": "f", "template": {"vertices": ["u"], "edges": []}, "attach": ["a"],
+             "attach_edges": [["u", "a"]]},
+            {"id": "f2", "template": {"vertices": ["w"], "edges": []}, "attach": ["a"],
+             "attach_edges": [["w", "a"]]},
+        ],
+        "dominations": [],
+    }
+    validate(raw)
+    # the later declaration used to shadow the earlier one: deleting
+    # strip:s/0/p raised UnknownVertexError, and deleting core:a found one
+    # fan family instead of two
+    raw[section][1]["id"] = raw[section][0]["id"]
+    with pytest.raises(PatternValidationError) as exc:
+        validate(raw)
+    assert [v.kind for v in exc.value.violations] == ["DuplicateId"]
 
 
 def test_empty_periodic_fan_attach_rejected(fixtures):
