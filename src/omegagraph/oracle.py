@@ -20,16 +20,20 @@ class UnionFind:
         self.rank = {x: 0 for x in items}
 
     def find(self, x):
+        # Parents are stored keys, so identity suffices; a key equal to but
+        # not the same object as a stored one reaches that one in one hop.
+        parent = self.parent
         root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
+        while (p := parent[root]) is not root:
+            root = p
+        while (p := parent[x]) is not root:
+            parent[x] = root
+            x = p
         return root
 
     def union(self, a, b):
         ra, rb = self.find(a), self.find(b)
-        if ra == rb:
+        if ra is rb:
             return
         if self.rank[ra] < self.rank[rb]:
             ra, rb = rb, ra
@@ -57,7 +61,7 @@ def components_after_deletion(fg: FiniteGraph, deleted) -> list[OracleComponent]
     uf = UnionFind(alive)
     touches: dict[VertexId, set] = {v: set() for v in alive}
     for e in fg.edges:
-        a, b = tuple(e)
+        a, b = e
         if a in deleted and b in deleted:
             continue
         if a in deleted:

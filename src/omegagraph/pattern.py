@@ -15,7 +15,9 @@ A pattern graph describes one infinite graph:
 
 The JSON spec file mirrors these fields; see ``validate`` and the CLI
 module for the schema.  All values are immutable after validation and
-safe to share across threads.
+safe to share across threads.  Each graph's adjacency index, which
+``neighbors`` and ``truncate`` read, is built when the graph is
+constructed and never mutated.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .ids import VertexId, core, fanv, pfanv, stripv
 
@@ -39,7 +42,7 @@ class UnknownVertexError(KeyError):
 class Violation:
     kind: str  # StripStripEdge | DanglingReference | DisconnectedPeriodChain
     #          | AttachmentNotCovered | NameCollision | DisconnectedTemplate
-    #          | InvalidEdge | DuplicateId
+    #          | InvalidEdge | DuplicateId | MalformedField
     element: str
     message: str
 
@@ -96,10 +99,12 @@ class PatternGraph:
     dominations: tuple[tuple[str, str], ...]  # (core vertex, strip id)
     _strip_index: dict = field(default_factory=dict, compare=False, repr=False)
     _fan_index: dict = field(default_factory=dict, compare=False, repr=False)
+    _adjacency: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         self._strip_index.update({s.id: s for s in self.strips})
         self._fan_index.update({f.id: f for f in self.fans})
+        self._adjacency.update(_adjacency_index(self))
 
     def strip(self, strip_id: str) -> Strip:
         try:
@@ -145,10 +150,43 @@ class PatternGraph:
 # ---------------------------------------------------------------------------
 # Validation
 
-def _edge_pairs(raw_edges, what, violations):
+def _malformed(where, expected, value) -> Violation:
+    return Violation("MalformedField", where, f"expected {expected}, got {type(value).__name__}")
+
+
+def _object(value, where, violations) -> dict:
+    """value if it is a JSON object; otherwise report it and read it as {}."""
+    if isinstance(value, dict):
+        return value
+    violations.append(_malformed(where, "an object", value))
+    return {}
+
+
+def _array(value, where, violations):
+    """value if it is a JSON array; otherwise report it and read it as []."""
+    if isinstance(value, (list, tuple)):
+        return value
+    violations.append(_malformed(where, "an array", value))
+    return []
+
+
+def _objects(value, where, violations):
+    """(path, entry) for the object entries of an array; reports the others."""
+    for i, item in enumerate(_array(value, where, violations)):
+        if isinstance(item, dict):
+            yield f"{where}[{i}]", item
+        else:
+            violations.append(_malformed(f"{where}[{i}]", "an object", item))
+
+
+def _names(value, where, violations) -> tuple[str, ...]:
+    return tuple(str(x) for x in _array(value, where, violations))
+
+
+def _edge_pairs(raw_edges, what, violations, loops=False):
     out = []
-    for e in raw_edges:
-        if len(e) != 2 or e[0] == e[1]:
+    for e in _array(raw_edges, what, violations):
+        if not isinstance(e, (list, tuple)) or len(e) != 2 or (not loops and str(e[0]) == str(e[1])):
             violations.append(Violation("InvalidEdge", what, f"bad edge {e!r}"))
             continue
         out.append((str(e[0]), str(e[1])))
@@ -174,13 +212,12 @@ def _connected(vertices, edges) -> bool:
     return len(seen) == len(verts)
 
 
-def _parse_fan(raw, fan_id, violations) -> Fan:
-    locals_ = tuple(str(x) for x in raw.get("template", {}).get("vertices", []))
-    edges = _edge_pairs(raw.get("template", {}).get("edges", []), f"fan {fan_id}", violations)
-    attach = tuple(str(x) for x in raw.get("attach", []))
-    attach_edges = tuple(
-        (str(l), str(c)) for l, c in (tuple(e) for e in raw.get("attach_edges", []))
-    )
+def _parse_fan(raw: dict, fan_id: str, where: str, violations) -> Fan:
+    template = _object(raw.get("template", {}), f"{where}.template", violations)
+    locals_ = _names(template.get("vertices", []), f"{where}.template.vertices", violations)
+    edges = _edge_pairs(template.get("edges", []), f"fan {fan_id}", violations)
+    attach = _names(raw.get("attach", []), f"{where}.attach", violations)
+    attach_edges = _edge_pairs(raw.get("attach_edges", []), f"fan {fan_id}", violations, loops=True)
     return Fan(fan_id, locals_, edges, attach, attach_edges)
 
 
@@ -226,32 +263,43 @@ def validate(raw: dict) -> PatternGraph:
     each violation names the offending element.
     """
     violations: list[Violation] = []
-    core_raw = raw.get("core", {})
-    core_vertices = tuple(str(v) for v in core_raw.get("vertices", []))
+    raw = _object(raw, "pattern", violations)
+    core_raw = _object(raw.get("core", {}), "core", violations)
+    core_vertices = _names(core_raw.get("vertices", []), "core.vertices", violations)
     core_set = set(core_vertices)
     core_edges = _edge_pairs(core_raw.get("edges", []), "core", violations)
 
     strips = []
-    for sraw in raw.get("strips", []):
+    for where, sraw in _objects(raw.get("strips", []), "strips", violations):
         sid = str(sraw.get("id", f"strip{len(strips)}"))
-        period = sraw.get("period", {})
-        locals_ = tuple(str(x) for x in period.get("vertices", []))
+        period = _object(sraw.get("period", {}), f"{where}.period", violations)
+        locals_ = _names(period.get("vertices", []), f"{where}.period.vertices", violations)
         internal = _edge_pairs(period.get("edges", []), f"strip {sid}", violations)
-        steps = tuple((str(a), str(b)) for a, b in (tuple(e) for e in sraw.get("step_edges", [])))
-        attachments = tuple(
-            (str(a.get("core")), int(a.get("period", 0)), str(a.get("local")))
-            for a in sraw.get("attachments", [])
-        )
+        steps = _edge_pairs(sraw.get("step_edges", []), f"strip {sid}", violations, loops=True)
+        attachments = []
+        for apath, a in _objects(sraw.get("attachments", []), f"{where}.attachments", violations):
+            try:
+                t = int(a.get("period", 0))
+            except (TypeError, ValueError, OverflowError):
+                violations.append(_malformed(f"{apath}.period", "an integer", a.get("period")))
+                continue
+            attachments.append((str(a.get("core")), t, str(a.get("local"))))
         pfan = None
         if sraw.get("periodic_fan") is not None:
-            pfan = _parse_fan(sraw["periodic_fan"], str(sraw["periodic_fan"].get("id", f"{sid}.pf")), violations)
+            fraw = _object(sraw["periodic_fan"], f"{where}.periodic_fan", violations)
+            pfan = _parse_fan(fraw, str(fraw.get("id", f"{sid}.pf")), f"{where}.periodic_fan", violations)
         dom = sraw.get("dominated_vertex")
         strips.append(
-            Strip(sid, locals_, internal, steps, attachments, pfan, None if dom is None else str(dom))
+            Strip(sid, locals_, internal, steps, tuple(attachments), pfan, None if dom is None else str(dom))
         )
 
-    fans = [_parse_fan(fraw, str(fraw.get("id", f"fan{i}")), violations) for i, fraw in enumerate(raw.get("fans", []))]
-    dominations = tuple((str(d.get("core")), str(d.get("strip"))) for d in raw.get("dominations", []))
+    fans = [
+        _parse_fan(fraw, str(fraw.get("id", f"fan{i}")), where, violations)
+        for i, (where, fraw) in enumerate(_objects(raw.get("fans", []), "fans", violations))
+    ]
+    dominations = tuple(
+        (str(d.get("core")), str(d.get("strip"))) for _, d in _objects(raw.get("dominations", []), "dominations", violations)
+    )
 
     # Strip ids and core fan ids key the graph's indexes; a repeated id
     # would silently shadow the earlier declaration.
@@ -425,76 +473,101 @@ class Neighborhood:
     rules: tuple[SymbolicRule, ...]
 
 
+class _Adjacency(NamedTuple):
+    """Neighbours of one template vertex, as offsets from its period and copy.
+
+    A vertex at period t (strip, pfan) or copy k (fan, pfan) is adjacent to
+    the template vertices named here, instantiated at the stated offset.
+    """
+
+    same: tuple[str, ...] = ()  # locals of the same period or copy
+    next: tuple[str, ...] = ()  # strip locals of period t + 1
+    prev: tuple[str, ...] = ()  # strip locals of period t - 1 (when t >= 1)
+    host: tuple[str, ...] = ()  # strip locals of period t, for a periodic-fan vertex
+    attach: tuple[tuple[int, VertexId], ...] = ()  # (period, core vertex) of a strip local
+    fixed: frozenset = frozenset()  # neighbours independent of t and k; a core vertex's finite set
+    pfan: tuple[str, ...] = ()  # periodic-fan locals with a copy at every period t of a strip local
+    rules: tuple[SymbolicRule, ...] = ()  # a core vertex's rules, in Neighborhood order
+
+
+def _grouped(pairs) -> dict:
+    """{a: tuple of the b over the pairs (a, b), in order}."""
+    out: dict = {}
+    for a, b in pairs:
+        out.setdefault(a, []).append(b)
+    return {a: tuple(bs) for a, bs in out.items()}
+
+
+def _both_ways(edges):
+    return [*edges, *((b, a) for a, b in edges)]
+
+
+def _adjacency_index(g: PatternGraph) -> dict[tuple[str, str, str], _Adjacency]:
+    """Adjacency of every template vertex, keyed by (kind, owner, local).
+
+    Core vertices are keyed with an empty local.  Read by ``neighbors``
+    and ``truncate``; built once per graph and never mutated.  A neighbour
+    may be listed twice (a repeated edge): both readers deduplicate.
+    """
+    index = {}
+    core_fin = [(a, core(b)) for a, b in _both_ways(g.core_edges)]
+    core_rules = []
+    for s in g.strips:
+        same = _grouped(_both_ways(s.internal_edges))
+        nxt = _grouped(s.step_edges)
+        prv = _grouped((b, a) for a, b in s.step_edges)
+        attach = _grouped((l, (t, core(c))) for c, t, l in s.attachments)
+        core_fin += ((c, stripv(s.id, t, l)) for c, t, l in s.attachments)
+        pf = s.periodic_fan
+        pfan = _grouped((p, l) for l, p in pf.attach_edges) if pf else {}
+        if pf:
+            pf_same = _grouped(_both_ways(pf.edges))
+            host = _grouped(pf.attach_edges)
+            for l in pf.locals:
+                index["pfan", s.id, l] = _Adjacency(same=pf_same.get(l, ()), host=host.get(l, ()))
+        target = s.domination_target()
+        dominators = frozenset(core(d) for d in g.dominators_of(s.id))
+        core_rules += ((d.owner, SymbolicRule("every_period", s.id, target)) for d in dominators)
+        for l in s.locals:
+            index["strip", s.id, l] = _Adjacency(
+                same=same.get(l, ()),
+                next=nxt.get(l, ()),
+                prev=prv.get(l, ()),
+                attach=attach.get(l, ()),
+                fixed=dominators if l == target else frozenset(),
+                pfan=tuple(sorted(set(pfan.get(l, ())))),
+            )
+    for f in g.fans:
+        same = _grouped(_both_ways(f.edges))
+        attached = _grouped((l, core(c)) for l, c in f.attach_edges)
+        core_rules += ((c, SymbolicRule("every_copy", f.id, l)) for l, c in f.attach_edges)
+        for l in f.locals:
+            index["fan", f.id, l] = _Adjacency(same=same.get(l, ()), fixed=frozenset(attached.get(l, ())))
+    fin = _grouped(core_fin)
+    rules = _grouped(core_rules)
+    for c in g.core_vertices:
+        rs = sorted(set(rules.get(c, ())), key=lambda r: (r.kind, r.owner, r.t, r.local))
+        index["core", c, ""] = _Adjacency(fixed=frozenset(fin.get(c, ())), rules=tuple(rs))
+    return index
+
+
 def neighbors(g: PatternGraph, v: VertexId) -> Neighborhood:
     """Exact neighbourhood of v: a finite part plus symbolic rules."""
     g.check_vertex(v)
-    fin: set[VertexId] = set()
-    rules: list[SymbolicRule] = []
-    if v.kind == "core":
-        name = v.owner
-        for a, b in g.core_edges:
-            if a == name:
-                fin.add(core(b))
-            elif b == name:
-                fin.add(core(a))
-        for s in g.strips:
-            for c, t, l in s.attachments:
-                if c == name:
-                    fin.add(stripv(s.id, t, l))
-        for f in g.fans:
-            for l, c in f.attach_edges:
-                if c == name:
-                    rules.append(SymbolicRule("every_copy", f.id, l))
-        for d, sid in g.dominations:
-            if d == name:
-                rules.append(SymbolicRule("every_period", sid, g.strip(sid).domination_target()))
-    elif v.kind == "strip":
-        s = g.strip(v.owner)
-        for a, b in s.internal_edges:
-            if a == v.local:
-                fin.add(stripv(s.id, v.t, b))
-            if b == v.local:
-                fin.add(stripv(s.id, v.t, a))
-        for a, b in s.step_edges:
-            if a == v.local:
-                fin.add(stripv(s.id, v.t + 1, b))
-            if b == v.local and v.t >= 1:
-                fin.add(stripv(s.id, v.t - 1, a))
-        for c, t, l in s.attachments:
-            if t == v.t and l == v.local:
-                fin.add(core(c))
-        if s.periodic_fan:
-            for l, p in s.periodic_fan.attach_edges:
-                if p == v.local:
-                    rules.append(SymbolicRule("every_pfan_copy", s.id, l, t=v.t))
-        if v.local == s.domination_target():
-            for d, sid in g.dominations:
-                if sid == s.id:
-                    fin.add(core(d))
-    elif v.kind == "fan":
-        f = g.fan(v.owner)
-        for a, b in f.edges:
-            if a == v.local:
-                fin.add(fanv(f.id, v.k, b))
-            if b == v.local:
-                fin.add(fanv(f.id, v.k, a))
-        for l, c in f.attach_edges:
-            if l == v.local:
-                fin.add(core(c))
-    elif v.kind == "pfan":
-        s = g.strip(v.owner)
-        pf = s.periodic_fan
-        for a, b in pf.edges:
-            if a == v.local:
-                fin.add(pfanv(s.id, v.t, v.k, b))
-            if b == v.local:
-                fin.add(pfanv(s.id, v.t, v.k, a))
-        for l, p in pf.attach_edges:
-            if l == v.local:
-                fin.add(stripv(s.id, v.t, p))
-    # dedup rules, deterministic order
-    rules = sorted(set(rules), key=lambda r: (r.kind, r.owner, r.t, r.local))
-    return Neighborhood(frozenset(fin), tuple(rules))
+    kind, owner, t, k, local = v
+    if kind == "core":
+        e = g._adjacency["core", owner, ""]
+        return Neighborhood(e.fixed, e.rules)
+    e = g._adjacency[kind, owner, local]
+    fin = {VertexId(kind, owner, t, k, m) for m in e.same}
+    fin.update(e.fixed)
+    fin.update(stripv(owner, t + 1, m) for m in e.next)
+    if t >= 1:
+        fin.update(stripv(owner, t - 1, m) for m in e.prev)
+    fin.update(c for p, c in e.attach if p == t)
+    fin.update(stripv(owner, t, m) for m in e.host)
+    rules = tuple(SymbolicRule("every_pfan_copy", owner, m, t=t) for m in e.pfan)
+    return Neighborhood(frozenset(fin), rules)
 
 
 def degree_class(g: PatternGraph, v: VertexId):
@@ -531,76 +604,85 @@ def truncate(g: PatternGraph, periods: int, copies: int) -> FiniteGraph:
     """
     if periods < 0 or copies < 0:
         raise ValueError("truncation bounds must be non-negative")
-    verts: list[VertexId] = [core(c) for c in g.core_vertices]
-    for s in g.strips:
-        for t in range(periods):
-            verts.extend(stripv(s.id, t, l) for l in s.locals)
-            if s.periodic_fan:
-                for k in range(copies):
-                    verts.extend(pfanv(s.id, t, k, l) for l in s.periodic_fan.locals)
-    for f in g.fans:
-        for k in range(copies):
-            verts.extend(fanv(f.id, k, l) for l in f.locals)
-    vset = set(verts)
-    edges = set()
+    adj = g._adjacency
+    cores = {c: core(c) for c in g.core_vertices}
+    # one {local: vertex} row per period or copy; every edge endpoint is
+    # taken from these rows, so each vertex object is built once
+    rows = {s.id: [{l: stripv(s.id, t, l) for l in s.locals} for t in range(periods)] for s in g.strips}
+    pfan_rows = {
+        s.id: [[{l: pfanv(s.id, t, k, l) for l in s.periodic_fan.locals} for k in range(copies)] for t in range(periods)]
+        for s in g.strips
+        if s.periodic_fan
+    }
+    fan_rows = {f.id: [{l: fanv(f.id, k, l) for l in f.locals} for k in range(copies)] for f in g.fans}
+    every_row = [cores, *(r for rs in rows.values() for r in rs), *(r for rs in fan_rows.values() for r in rs)]
+    every_row += (r for ts in pfan_rows.values() for rs in ts for r in rs)
+    keys = {v: v.sort_key() for row in every_row for v in row.values()}
+    edges: dict[frozenset, tuple] = {}  # edge -> (smaller sort_key, larger sort_key)
     boundary = set()
-    for v in verts:
-        nb = neighbors(g, v)
-        for w in nb.finite:
-            if w in vset:
-                edges.add(frozenset((v, w)))
+
+    def link(a, b):
+        ka, kb = keys[a], keys[b]
+        edges[frozenset((a, b))] = (ka, kb) if ka < kb else (kb, ka)
+
+    # Each edge is linked from one side: a core vertex links its core
+    # neighbours and strip attachments; strip, fan and periodic-fan
+    # vertices link the same-period or same-copy neighbours named after
+    # them, the next period, their dominators, attached cores and hosts.
+    # A vertex has a rule, or a neighbour beyond the bounds, exactly when
+    # it lies on the boundary.
+    for c, v in cores.items():
+        e = adj["core", c, ""]
+        if e.rules:
+            boundary.add(v)
+        for w in e.fixed:
+            if w.kind == "core":
+                link(v, cores[w.owner])
+            elif w.t < periods:
+                link(v, rows[w.owner][w.t][w.local])
             else:
                 boundary.add(v)
-        for rule in nb.rules:
-            if rule.kind == "every_period":
-                # infinitely many periods always excluded
-                boundary.add(v)
-                for t in range(periods):
-                    w = stripv(rule.owner, t, rule.local)
-                    if w in vset and w != v:
-                        edges.add(frozenset((v, w)))
-            elif rule.kind == "every_copy":
-                boundary.add(v)
-                for k in range(copies):
-                    w = fanv(rule.owner, k, rule.local)
-                    if w in vset:
-                        edges.add(frozenset((v, w)))
-            elif rule.kind == "every_pfan_copy":
-                boundary.add(v)
-                for k in range(copies):
-                    w = pfanv(rule.owner, rule.t, k, rule.local)
-                    if w in vset:
-                        edges.add(frozenset((v, w)))
-    verts_sorted = tuple(sorted(verts, key=VertexId.sort_key))
-    edges_sorted = tuple(sorted(edges, key=lambda e: sorted(x.sort_key() for x in e)))
-    return FiniteGraph(verts_sorted, edges_sorted, frozenset(boundary))
-
-
-def check_invariants(g: PatternGraph) -> list[str]:
-    """Independent re-check of the type invariants; returns problem strings."""
-    problems = []
-    names = list(g.core_vertices)
     for s in g.strips:
-        names.extend(s.locals)
+        strip_rows = rows[s.id]
+        for l in s.locals:
+            e = adj["strip", s.id, l]
+            for t, row in enumerate(strip_rows):
+                v = row[l]
+                for m in e.same:
+                    if l < m:
+                        link(v, row[m])
+                if e.next:
+                    if t + 1 < periods:
+                        after = strip_rows[t + 1]
+                        for m in e.next:
+                            link(v, after[m])
+                    else:
+                        boundary.add(v)
+                for d in e.fixed:
+                    link(v, cores[d.owner])
+                if e.pfan:
+                    boundary.add(v)
         if s.periodic_fan:
-            names.extend(s.periodic_fan.locals)
+            for l in s.periodic_fan.locals:
+                e = adj["pfan", s.id, l]
+                for t, copy_rows in enumerate(pfan_rows[s.id]):
+                    for row in copy_rows:
+                        v = row[l]
+                        for m in e.same:
+                            if l < m:
+                                link(v, row[m])
+                        for p in e.host:
+                            link(v, strip_rows[t][p])
     for f in g.fans:
-        names.extend(f.locals)
-    if len(names) != len(set(names)):
-        problems.append("vertex namespaces overlap")
-    for s in g.strips:
-        if not _connected(s.locals, s.internal_edges):
-            problems.append(f"strip {s.id} period template disconnected")
-        if not s.step_edges:
-            problems.append(f"strip {s.id} has no inter-period edge")
-        for c, t, l in s.attachments:
-            if c not in g.core_vertices or t < 0 or l not in s.locals:
-                problems.append(f"strip {s.id} attachment ({c},{t},{l}) dangles")
-    for f in list(g.fans) + [s.periodic_fan for s in g.strips if s.periodic_fan]:
-        hit = {c for _, c in f.attach_edges}
-        for c in f.attach:
-            if c not in hit:
-                problems.append(f"fan {f.id} attachment {c} not covered")
-        if not _connected(f.locals, f.edges):
-            problems.append(f"fan {f.id} template disconnected")
-    return problems
+        for l in f.locals:
+            e = adj["fan", f.id, l]
+            for row in fan_rows[f.id]:
+                v = row[l]
+                for m in e.same:
+                    if l < m:
+                        link(v, row[m])
+                for c in e.fixed:
+                    link(v, cores[c.owner])
+    verts_sorted = tuple(sorted(keys, key=keys.__getitem__))
+    edges_sorted = tuple(sorted(edges, key=edges.__getitem__))
+    return FiniteGraph(verts_sorted, edges_sorted, frozenset(boundary))

@@ -1,16 +1,23 @@
-"""The benchmark's delete-sweep smoke run: closed-form and oracle answers."""
+"""The benchmark's smoke runs: closed-form and oracle answers.
+
+delete-sweep checks `components.delete`; oracle-check checks `truncate`'s
+closed form and `oracle_mismatch` on truncations.
+"""
 
 import json
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_delete_sweep_smoke_answers_are_correct():
+@pytest.mark.parametrize("workload", ["delete-sweep", "oracle-check"])
+def test_smoke_answers_are_correct(workload):
     cmd = [
-        sys.executable, "bench/run.py", "--workload", "delete-sweep",
+        sys.executable, "bench/run.py", "--workload", workload,
         "--seed", "1", "--seconds", "1", "--trace", "0", "--smoke",
     ]
     proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=300)

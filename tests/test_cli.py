@@ -58,6 +58,18 @@ def test_analyze_malformed_spec(tmp_path, capsys):
     assert "StripStripEdge" in err
 
 
+def test_analyze_malformed_field(tmp_path, capsys):
+    bad = to_raw(validate(json.load(open(SPEC["comb"]))))
+    bad["strips"][0]["step_edges"] = [["p", "p", "p"]]
+    bad["core"] = ["a"]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bad))
+    code, _, err = run(capsys, "analyze", str(path))
+    assert code == 1
+    assert "MalformedField(core)" in err and "InvalidEdge(strip s1)" in err
+    assert "Traceback" not in err
+
+
 def test_analyze_unreadable(capsys, tmp_path):
     code, _, err = run(capsys, "analyze", str(tmp_path / "missing.json"))
     assert code == 1 and "cannot read" in err

@@ -15,6 +15,22 @@ def test_union_find_groups():
     assert uf.find(0) == uf.find(2) != uf.find(3)
 
 
+def test_union_find_accepts_equal_keys_that_are_other_objects():
+    stored = [stripv("s1", t, "p") for t in range(5)]
+    uf = UnionFind(stored)
+    # equal to the stored keys, but built afresh
+    uf.union(stripv("s1", 0, "p"), stripv("s1", 1, "p"))
+    uf.union(stripv("s1", 1, "p"), stripv("s1", 2, "p"))
+    uf.union(stripv("s1", 4, "p"), stripv("s1", 3, "p"))
+    uf.union(stripv("s1", 2, "p"), stripv("s1", 0, "p"))
+    fresh = stripv("s1", 2, "p")
+    assert fresh is not stored[2]
+    assert any(uf.find(fresh) is x for x in stored)
+    assert uf.find(fresh) is uf.find(stored[0]) is not uf.find(stripv("s1", 3, "p"))
+    groups = sorted(sorted(v.t for v in grp) for grp in uf.groups())
+    assert groups == [[0, 1, 2], [3, 4]]
+
+
 def test_components_of_star_truncation(fixtures):
     fg = truncate(fixtures["star"], 0, 5)
     comps = components_after_deletion(fg, {core("c")})

@@ -1,5 +1,6 @@
 """Pattern graph validation, neighborhoods, degrees, truncation."""
 
+import copy
 import json
 import math
 import random
@@ -17,17 +18,21 @@ from omegagraph.ids import (
     pfanv,
     stripv,
 )
+from omegagraph import fixture_graphs, pattern
 from omegagraph.pattern import (
+    FiniteGraph,
+    Neighborhood,
+    PatternGraph,
     PatternValidationError,
+    SymbolicRule,
     UnknownVertexError,
-    check_invariants,
     degree_class,
     neighbors,
     to_raw,
     truncate,
     validate,
 )
-from conftest import random_pattern
+from conftest import FIXTURE_NAMES, random_pattern
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +93,7 @@ def test_vertex_id_rejects_foreign_order_and_mutation():
 def test_star_fixture_is_valid(fixtures):
     g = fixtures["star"]
     assert g.core_vertices == ("c",)
-    assert not check_invariants(g)
+    assert validate(to_raw(g)) == g
 
 
 def test_strip_strip_edge_rejected():
@@ -206,7 +211,85 @@ def test_empty_periodic_fan_attach_rejected(fixtures):
 @pytest.mark.parametrize("seed", range(25))
 def test_validation_soundness_on_random_patterns(seed):
     g = random_pattern(seed)
-    assert check_invariants(g) == []
+    assert validate(to_raw(g)) == g
+
+
+def _ray_raw():
+    return {
+        "core": {"vertices": ["c"], "edges": []},
+        "strips": [
+            {"id": "s", "period": {"vertices": ["p"], "edges": []}, "step_edges": [["p", "p"]],
+             "attachments": [{"core": "c", "period": 0, "local": "p"}]},
+        ],
+        "fans": [
+            {"id": "f", "template": {"vertices": ["u"], "edges": []}, "attach": ["c"],
+             "attach_edges": [["u", "c"]]},
+        ],
+        "dominations": [],
+    }
+
+
+def _replaced(raw, path, value):
+    """raw with the value at path (a tuple of keys and indexes) replaced."""
+    if not path:
+        return value
+    raw = copy.deepcopy(raw)
+    node = raw
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return raw
+
+
+# all but the last raised a raw TypeError, AttributeError or ValueError before
+MALFORMED = {
+    "core-vertices-int": (("core", "vertices"), 5, "MalformedField"),
+    "core-list": (("core",), ["c"], "MalformedField"),
+    "strips-dict": (("strips",), {"s": _ray_raw()["strips"][0]}, "MalformedField"),
+    "top-level-list": ((), [_ray_raw()], "MalformedField"),
+    "step-edge-3": (("strips", 0, "step_edges", 0), ["p", "p", "p"], "InvalidEdge"),
+    "attachment-period-str": (("strips", 0, "attachments", 0, "period"), "x", "MalformedField"),
+    "attach-edge-1": (("fans", 0, "attach_edges", 0), ["u"], "InvalidEdge"),
+    # names are read as strings, so this was accepted as the loop ("1", "1")
+    "core-loop-int-str": (("core",), {"vertices": ["1"], "edges": [[1, "1"]]}, "InvalidEdge"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_field_rejected(case):
+    path, value, kind = MALFORMED[case]
+    validate(_ray_raw())
+    with pytest.raises(PatternValidationError) as exc:
+        validate(_replaced(_ray_raw(), path, value))
+    assert kind in {v.kind for v in exc.value.violations}
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=10,
+)
+
+
+def _json_paths(node, prefix=()):
+    yield prefix
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _json_paths(child, prefix + (key,))
+
+
+@given(st.sampled_from(FIXTURE_NAMES), st.integers(0, 10 ** 6), _JSON)
+@settings(max_examples=200, deadline=None)
+def test_any_json_value_validates_or_is_rejected(name, pick, value):
+    # the value replaces the whole spec or one node of a fixture's spec
+    raw = to_raw(fixture_graphs.load_fixture(name))
+    paths = list(_json_paths(raw))
+    try:
+        g = validate(_replaced(raw, paths[pick % len(paths)], value))
+    except PatternValidationError:
+        return
+    assert isinstance(g, PatternGraph)
+    truncate(g, 2, 2)  # an accepted graph is usable, not just constructed
 
 
 def test_round_trip_all_fixtures(fixtures):
@@ -323,3 +406,139 @@ def test_truncation_degree_agreement(seed):
         degs.append([len(adj_b[v]) for v in infinite])
     for run in zip(*degs):
         assert run[0] < run[1] < run[2]
+
+
+# ---------------------------------------------------------------------------
+# The adjacency index against per-vertex scans of the pattern
+
+def scan_neighbors(g, v):
+    """Reference: v's neighbourhood by scanning every declared edge and rule."""
+    g.check_vertex(v)
+    fin = set()
+    rules = []
+    if v.kind == "core":
+        name = v.owner
+        for a, b in g.core_edges:
+            if a == name:
+                fin.add(core(b))
+            elif b == name:
+                fin.add(core(a))
+        for s in g.strips:
+            for c, t, l in s.attachments:
+                if c == name:
+                    fin.add(stripv(s.id, t, l))
+        for f in g.fans:
+            for l, c in f.attach_edges:
+                if c == name:
+                    rules.append(SymbolicRule("every_copy", f.id, l))
+        for d, sid in g.dominations:
+            if d == name:
+                rules.append(SymbolicRule("every_period", sid, g.strip(sid).domination_target()))
+    elif v.kind == "strip":
+        s = g.strip(v.owner)
+        for a, b in s.internal_edges:
+            if a == v.local:
+                fin.add(stripv(s.id, v.t, b))
+            if b == v.local:
+                fin.add(stripv(s.id, v.t, a))
+        for a, b in s.step_edges:
+            if a == v.local:
+                fin.add(stripv(s.id, v.t + 1, b))
+            if b == v.local and v.t >= 1:
+                fin.add(stripv(s.id, v.t - 1, a))
+        for c, t, l in s.attachments:
+            if t == v.t and l == v.local:
+                fin.add(core(c))
+        if s.periodic_fan:
+            for l, p in s.periodic_fan.attach_edges:
+                if p == v.local:
+                    rules.append(SymbolicRule("every_pfan_copy", s.id, l, t=v.t))
+        if v.local == s.domination_target():
+            for d, sid in g.dominations:
+                if sid == s.id:
+                    fin.add(core(d))
+    elif v.kind == "fan":
+        f = g.fan(v.owner)
+        for a, b in f.edges:
+            if a == v.local:
+                fin.add(fanv(f.id, v.k, b))
+            if b == v.local:
+                fin.add(fanv(f.id, v.k, a))
+        for l, c in f.attach_edges:
+            if l == v.local:
+                fin.add(core(c))
+    elif v.kind == "pfan":
+        s = g.strip(v.owner)
+        pf = s.periodic_fan
+        for a, b in pf.edges:
+            if a == v.local:
+                fin.add(pfanv(s.id, v.t, v.k, b))
+            if b == v.local:
+                fin.add(pfanv(s.id, v.t, v.k, a))
+        for l, p in pf.attach_edges:
+            if l == v.local:
+                fin.add(stripv(s.id, v.t, p))
+    rules = sorted(set(rules), key=lambda r: (r.kind, r.owner, r.t, r.local))
+    return Neighborhood(frozenset(fin), tuple(rules))
+
+
+def scan_truncate(g, periods, copies):
+    """Reference: the truncation built from scan_neighbors of every vertex."""
+    verts = [core(c) for c in g.core_vertices]
+    for s in g.strips:
+        for t in range(periods):
+            verts.extend(stripv(s.id, t, l) for l in s.locals)
+            if s.periodic_fan:
+                for k in range(copies):
+                    verts.extend(pfanv(s.id, t, k, l) for l in s.periodic_fan.locals)
+    for f in g.fans:
+        for k in range(copies):
+            verts.extend(fanv(f.id, k, l) for l in f.locals)
+    vset = set(verts)
+    edges = set()
+    boundary = set()
+    for v in verts:
+        nb = scan_neighbors(g, v)
+        for w in nb.finite:
+            if w in vset:
+                edges.add(frozenset((v, w)))
+            else:
+                boundary.add(v)
+        for rule in nb.rules:
+            boundary.add(v)
+            if rule.kind == "every_period":
+                instances = [stripv(rule.owner, t, rule.local) for t in range(periods)]
+            elif rule.kind == "every_copy":
+                instances = [fanv(rule.owner, k, rule.local) for k in range(copies)]
+            else:
+                instances = [pfanv(rule.owner, rule.t, k, rule.local) for k in range(copies)]
+            edges.update(frozenset((v, w)) for w in instances if w in vset and w != v)
+    verts_sorted = tuple(sorted(verts, key=VertexId.sort_key))
+    edges_sorted = tuple(sorted(edges, key=lambda e: sorted(x.sort_key() for x in e)))
+    return FiniteGraph(verts_sorted, edges_sorted, frozenset(boundary))
+
+
+@pytest.mark.parametrize("case", [*FIXTURE_NAMES, *(f"random{seed}" for seed in range(40))])
+def test_index_matches_scans(case, fixtures):
+    g = fixtures[case] if case in fixtures else random_pattern(int(case.removeprefix("random")))
+    for periods in range(4):
+        for copies in range(4):
+            want, got = scan_truncate(g, periods, copies), truncate(g, periods, copies)
+            assert got.vertices == want.vertices, (periods, copies)
+            assert got.edges == want.edges, (periods, copies)
+            assert got.boundary == want.boundary, (periods, copies)
+    for v in truncate(g, 3, 3).vertices:
+        assert neighbors(g, v) == scan_neighbors(g, v), format_vertex(v)
+
+
+def test_truncate_never_calls_neighbors(fixtures, monkeypatch):
+    calls = []
+
+    def counted(g, v):
+        calls.append(v)
+        return scan_neighbors(g, v)
+
+    monkeypatch.setattr(pattern, "neighbors", counted)
+    fg = truncate(fixtures["comb"], 800, 3)
+    assert len(fg.vertices) == 3200
+    assert calls == []  # one call per vertex, 3,200, before the index
