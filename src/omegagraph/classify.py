@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 from .ids import VertexId, core, stripv
 from .pattern import PatternGraph, degree_class
-from .components import delete, is_critical
+from .components import InvariantError, delete, is_critical
 
 
 @dataclass(frozen=True)
@@ -31,7 +31,8 @@ class Classification:
         expected = (
             "Tough" if self.tough else "OnePointCase" if self.end_tough else "NeitherCase"
         )
-        assert self.trichotomy == expected
+        if self.trichotomy != expected:
+            raise InvariantError(f"trichotomy {self.trichotomy!r} contradicts the flags, which give {expected!r}")
 
 
 def enumerate_critical(g: PatternGraph, max_size: int, horizon: int) -> list[frozenset]:
@@ -56,7 +57,8 @@ def enumerate_critical(g: PatternGraph, max_size: int, horizon: int) -> list[fro
             found.add(frozenset(stripv(s.id, t, p) for p in attach))
     out = sorted(found, key=lambda Y: (len(Y), tuple(sorted(v.sort_key() for v in Y))))
     for Y in out:
-        assert is_critical(g, Y)
+        if not is_critical(g, Y):
+            raise InvariantError(f"enumerated set {sorted(map(str, Y))} is not critical")
     return out
 
 
@@ -70,7 +72,8 @@ def is_tough(g: PatternGraph) -> bool:
     declared = not g.has_fans()
     max_size = len(g.core_vertices) + max((len(s.locals) for s in g.strips), default=0)
     enumerated = not enumerate_critical(g, max_size, 1)
-    assert declared == enumerated
+    if declared != enumerated:
+        raise InvariantError("declared fans and enumerated critical sets disagree on toughness")
     return declared
 
 
@@ -104,7 +107,8 @@ def is_end_tough(g: PatternGraph) -> tuple[bool, tuple[EndWitness, ...]]:
         clean = not tail.families and all(
             not g.strip(seg.strip).periodic_fan for seg in tail.tails
         )
-        assert clean, f"witness deletion leaves fan material with the tail of {s.id}"
+        if not clean:
+            raise InvariantError(f"witness deletion leaves fan material with the tail of {s.id}")
         witnesses.append(EndWitness(s.id, True, isolating_set=X))
     return all(w.tough for w in witnesses), tuple(witnesses)
 
@@ -154,10 +158,12 @@ def infinite_degree_explanation(g: PatternGraph, v: VertexId) -> tuple[DegreeExp
         if key not in seen:
             seen.add(key)
             unique.append(e)
-    assert unique, f"infinite degree of {v} unexplained"
+    if not unique:
+        raise InvariantError(f"infinite degree of {v} unexplained")
     for e in unique:
         if e.kind == "in_critical_set":
-            assert is_critical(g, e.Y) and v in e.Y
-        else:
-            assert (v.owner, e.strip) in g.dominations
+            if not (is_critical(g, e.Y) and v in e.Y):
+                raise InvariantError(f"{v} is not in the critical set of its explanation")
+        elif (v.owner, e.strip) not in g.dominations:
+            raise InvariantError(f"{v} does not dominate strip {e.strip}")
     return tuple(unique)

@@ -27,6 +27,14 @@ from .pattern import PatternGraph, truncate
 from . import oracle as _oracle
 
 
+class InvariantError(AssertionError):
+    """An internal invariant failed.
+
+    Raised explicitly, so that the check survives ``python -O``; being an
+    AssertionError, it reaches the CLI's internal-failure exit code 2.
+    """
+
+
 class NotNestedError(ValueError):
     pass
 
@@ -89,11 +97,13 @@ class ComponentDescriptor:
         return (2,) + tuple(handle_sort_key(h)), self.key()
 
     def handle(self) -> Handle:
-        assert self.kind == "family"
+        if self.kind != "family":
+            raise InvariantError(f"a {self.kind} component has no family handle")
         return self.families[0][0]
 
     def excluded(self) -> frozenset:
-        assert self.kind == "family"
+        if self.kind != "family":
+            raise InvariantError(f"a {self.kind} component has no excluded copies")
         return self.families[0][1]
 
 
@@ -425,7 +435,8 @@ def unique_component_meeting(cs: ComponentSystem, Y) -> ComponentDescriptor:
     if Y <= cs.X:
         raise YContainedInXError(f"{sorted(map(str, Y))} is contained in X")
     hits = {cs.locate(v).key() for v in Y - cs.X}
-    assert len(hits) == 1, "critical set met by more than one component"
+    if len(hits) != 1:
+        raise InvariantError("critical set met by more than one component")
     return cs.descriptor(hits.pop())
 
 

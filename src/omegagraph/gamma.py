@@ -24,6 +24,7 @@ from .components import (
     ComponentDescriptor,
     ComponentSystem,
     Handle,
+    InvariantError,
     NotNestedError,
     _probe_vertex,
     delete,
@@ -475,7 +476,7 @@ def limit_points(g: PatternGraph, family, horizon: int):
                 if Xt <= Xs:
                     m = bonding_f(css[Xt], css[Xs])
                     if m.apply(thread[Xs]) != thread[Xt]:
-                        raise AssertionError(
+                        raise InvariantError(
                             f"thread of {xi} incompatible between {sorted(map(str, Xt))} and {sorted(map(str, Xs))}"
                         )
         out.append((xi, thread))

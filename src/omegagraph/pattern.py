@@ -42,7 +42,7 @@ class UnknownVertexError(KeyError):
 class Violation:
     kind: str  # StripStripEdge | DanglingReference | DisconnectedPeriodChain
     #          | AttachmentNotCovered | NameCollision | DisconnectedTemplate
-    #          | InvalidEdge | DuplicateId | MalformedField
+    #          | InvalidEdge | DuplicateId | MalformedField | ReservedCharacter
     element: str
     message: str
 
@@ -193,6 +193,19 @@ def _edge_pairs(raw_edges, what, violations, loops=False):
     return tuple(out)
 
 
+# Vertex tokens (see ``ids``) and the CLI's vertex lists and sets are
+# delimited by these characters, so no name may contain them.
+_RESERVED = frozenset("/,:{}")
+
+
+def _check_name(name: str, where: str, violations):
+    """A name must make vertex tokens that parse back to the same vertex."""
+    if not name:
+        violations.append(Violation("MalformedField", where, "expected a non-empty name"))
+    elif not _RESERVED.isdisjoint(name):
+        violations.append(Violation("ReservedCharacter", where, f"name {name!r} contains one of / , : {{ }}"))
+
+
 def _connected(vertices, edges) -> bool:
     if not vertices:
         return False
@@ -278,10 +291,9 @@ def validate(raw: dict) -> PatternGraph:
         steps = _edge_pairs(sraw.get("step_edges", []), f"strip {sid}", violations, loops=True)
         attachments = []
         for apath, a in _objects(sraw.get("attachments", []), f"{where}.attachments", violations):
-            try:
-                t = int(a.get("period", 0))
-            except (TypeError, ValueError, OverflowError):
-                violations.append(_malformed(f"{apath}.period", "an integer", a.get("period")))
+            t = a.get("period", 0)
+            if not isinstance(t, int) or isinstance(t, bool):
+                violations.append(_malformed(f"{apath}.period", "an integer", t))
                 continue
             attachments.append((str(a.get("core")), t, str(a.get("local"))))
         pfan = None
@@ -306,6 +318,7 @@ def validate(raw: dict) -> PatternGraph:
     for what, ids in (("strip", [s.id for s in strips]), ("fan", [f.id for f in fans])):
         declared: set[str] = set()
         for i in ids:
+            _check_name(i, f"{what} id", violations)
             if i in declared:
                 violations.append(Violation("DuplicateId", i, f"{what} id {i!r} is declared more than once"))
             declared.add(i)
@@ -314,6 +327,7 @@ def validate(raw: dict) -> PatternGraph:
     # shared namespace so tokens stay unambiguous.
     seen: dict[str, str] = {}
     def claim(name, where):
+        _check_name(name, where, violations)
         if name in seen:
             violations.append(
                 Violation("NameCollision", name, f"declared by both {seen[name]} and {where}")

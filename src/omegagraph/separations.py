@@ -17,12 +17,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .ids import VertexId, core, stripv
+from .ids import VertexId, core, fanv, pfanv, stripv
 from .pattern import PatternGraph
 from .components import (
     ComponentSystem,
     CXFamily,
     Handle,
+    InvariantError,
     NotCriticalError,
     copy_vertices,
     delete,
@@ -68,7 +69,8 @@ class FamilyRule:
     flips: frozenset = frozenset()
 
     def __post_init__(self):
-        assert self.base in _BASES
+        if self.base not in _BASES:
+            raise InvariantError(f"unknown rule base {self.base!r}")
 
     def __call__(self, k: int) -> bool:
         return _base_val(self.base, k) != (k in self.flips)
@@ -90,7 +92,8 @@ class FamilyRule:
         return self.base != "false"
 
     def members(self):
-        assert self.is_finite()
+        if not self.is_finite():
+            raise InvariantError("an infinite rule has no member list")
         return sorted(self.flips)
 
     def key(self):
@@ -151,7 +154,8 @@ class SymbolicSubset:
         self.cs = cs
         self.explicit_in = frozenset(explicit_in)
         all_keys = {d.key() for d in cs.explicit_descriptors}
-        assert self.explicit_in <= all_keys, "unknown explicit component"
+        if not self.explicit_in <= all_keys:
+            raise InvariantError("unknown explicit component")
         self.rules: dict[Handle, FamilyRule] = {}
         for d in cs.family_descriptors:
             h = d.handle()
@@ -210,7 +214,8 @@ class SymbolicSubset:
         )
 
     def with_member_toggled(self, handle: Handle, k: int) -> "SymbolicSubset":
-        assert handle in self.rules and k not in self.cs.handle_excluded(handle)
+        if handle not in self.rules or k in self.cs.handle_excluded(handle):
+            raise InvariantError(f"copy {k} of {handle} is not a member of any family here")
         r = self.rules[handle]
         return SymbolicSubset(
             self.cs,
@@ -223,9 +228,6 @@ class SymbolicSubset:
 
     def is_empty(self) -> bool:
         return not self.explicit_in and all(r.is_empty() for r in self.rules.values())
-
-    def is_full(self) -> bool:
-        return self.complement().is_empty()
 
     def is_finite(self) -> bool:
         """Finitely many member components."""
@@ -359,7 +361,8 @@ class SymbolicVertexSet:
         return not self.tails and all(r.is_finite() for r in self.copies.values())
 
     def materialize_finite(self) -> frozenset:
-        assert self.is_finite()
+        if not self.is_finite():
+            raise InvariantError("an infinite vertex set cannot be materialized")
         if self.is_all:
             return frozenset(core(c) for c in self.g.core_vertices)
         out = set(self.finite)
@@ -369,11 +372,10 @@ class SymbolicVertexSet:
         return frozenset(out)
 
 
-def _subset_vertex_set(cs: ComponentSystem, subset: SymbolicSubset) -> SymbolicVertexSet:
-    """X together with all vertices of the subset's components."""
-    if subset.is_full():
-        if not cs.g.is_finite():
-            return SymbolicVertexSet(cs.g, is_all=True)
+def _subset_vertex_set(cs: ComponentSystem, subset: SymbolicSubset, rest: SymbolicSubset) -> SymbolicVertexSet:
+    """X together with all vertices of the subset's components; rest is its complement."""
+    if rest.is_empty() and not cs.g.is_finite():
+        return SymbolicVertexSet(cs.g, is_all=True)
     fin = set(cs.X)
     tails: dict = {}
     copies: dict = {}
@@ -397,7 +399,8 @@ class Separation:
     """Unoriented separation {X u V[side], X u V[co-side]}."""
 
     def __init__(self, cs: ComponentSystem, side: SymbolicSubset):
-        assert side.cs is cs or side.cs.X == cs.X
+        if side.cs is not cs and side.cs.X != cs.X:
+            raise InvariantError("the side lives over another deletion")
         self.cs = cs
         self.side = side
         self.co_side = side.complement()
@@ -406,8 +409,8 @@ class Separation:
     def side_set(self, of_side: bool) -> "SymbolicVertexSet":
         """X u V[side] (True) or X u V[co-side] (False), cached."""
         if of_side not in self._svs_cache:
-            subset = self.side if of_side else self.co_side
-            self._svs_cache[of_side] = _subset_vertex_set(self.cs, subset)
+            subset, rest = (self.side, self.co_side) if of_side else (self.co_side, self.side)
+            self._svs_cache[of_side] = _subset_vertex_set(self.cs, subset, rest)
         return self._svs_cache[of_side]
 
     def underlying_key(self):
@@ -524,13 +527,79 @@ def interior_of(g: PatternGraph, sigma) -> SymbolicVertexSet:
     return interior(ms)
 
 
+def _side_bits(g: PatternGraph, sides) -> list[int]:
+    """Each side as an int whose bit i says whether the side holds box vertex i.
+
+    The box takes every period up to T and every copy up to K + 1, where T
+    exceeds every period and K every copy index that some side names (in its
+    finite part, a tail start, a periodic-fan handle or a rule's flips).  A
+    vertex outside the box lies in exactly the sides that hold its
+    representative inside: a strip or periodic-fan vertex at a period beyond
+    T lies in a side iff the side has that strip's tail, like its period-T
+    counterpart, and a copy beyond K + 1 lies in it iff the side's rule holds
+    there, which beyond K depends only on the parity of the copy, like copy K
+    or K + 1.  So one side lies inside another iff ``a & ~b == 0``, exactly,
+    for tame and parity rules alike.  The box lives for one call only.
+    """
+    periods = [0]
+    copies = [0]
+    for svs in sides:
+        for v in svs.finite:
+            periods.append(v.t)
+            copies.append(v.k)
+        periods.extend(svs.tails.values())
+        for h, r in svs.copies.items():
+            if h[0] == "pfan":
+                periods.append(h[2])
+            copies.extend(r.flips)
+    T, K = max(periods) + 1, max(copies) + 1
+    box = [core(c) for c in g.core_vertices]
+    for s in g.strips:
+        for t in range(T + 1):
+            box.extend(stripv(s.id, t, l) for l in s.locals)
+            if s.periodic_fan:
+                box.extend(pfanv(s.id, t, k, l) for k in range(K + 2) for l in s.periodic_fan.locals)
+    for f in g.fans:
+        box.extend(fanv(f.id, k, l) for k in range(K + 2) for l in f.locals)
+    everything = (1 << len(box)) - 1
+    return [
+        everything if svs.is_all else sum(1 << i for i, v in enumerate(box) if svs.contains(v))
+        for svs in sides
+    ]
+
+
+def _orientation_bits(ms) -> tuple[list[int], list[int]]:
+    """Small and big sides of each member, over one box."""
+    if not ms:
+        return [], []
+    bits = _side_bits(ms[0].sep.cs.g, [m.small_set() for m in ms] + [m.big_set() for m in ms])
+    return bits[: len(ms)], bits[len(ms):]
+
+
+def _first_violation(smalls: list[int], bigs: list[int]):
+    """First (i, j), in ``itertools.permutations`` order, with reverse(i) < j.
+
+    reverse(i) <= j iff big_i is inside small_j and big_j inside small_i;
+    j <= reverse(i) iff small_j is inside big_i and small_i inside big_j.
+    """
+    not_smalls = [~s for s in smalls]
+    for i, big_i in enumerate(bigs):
+        not_small_i, not_big_i = not_smalls[i], ~big_i
+        for j in [j for j, not_small_j in enumerate(not_smalls) if not big_i & not_small_j]:
+            if j == i or bigs[j] & not_small_i:
+                continue
+            if smalls[j] & not_big_i or smalls[i] & ~bigs[j]:
+                return i, j
+    return None
+
+
 def is_consistent(o):
     """True, or a witnessing pair (p, q) with reverse(p) < q."""
     ms = list(o)
-    for p, q in itertools.permutations(ms, 2):
-        if lt(p.reverse(), q):
-            return False, (p, q)
-    return True, None
+    pair = _first_violation(*_orientation_bits(ms))
+    if pair is None:
+        return True, None
+    return False, (ms[pair[0]], ms[pair[1]])
 
 
 def is_tame(sep: Separation) -> bool:
@@ -625,7 +694,8 @@ def _infinite_features(svs: SymbolicVertexSet, g: PatternGraph) -> list:
     feats = [("tail", s) for s in sorted(svs.tails)]
     for h in sorted(svs.copies, key=handle_sort_key):
         rule = svs.copies[h]
-        assert rule.base in ("true", "false"), "tame sides carry no parity rules"
+        if rule.base not in ("true", "false"):
+            raise InvariantError("tame sides carry no parity rules")
         if rule.is_infinite():
             feats.append(("handle", h))
     return feats
@@ -649,7 +719,8 @@ def check_tangle(o, g: PatternGraph | None = None) -> TangleVerdict:
     be removed by a single member pointing away from it.  The search
     adds one such killer per level, so its depth is bounded by the
     number of features; branching is worst-case exponential in that
-    small number.
+    small number.  Consistency and the pairs that may share a star are
+    decided on the sides' bitsets (``_side_bits``).
     """
     ms = list(o)
     if g is None and ms:
@@ -657,21 +728,23 @@ def check_tangle(o, g: PatternGraph | None = None) -> TangleVerdict:
     for m in ms:
         if not is_tame(m.sep):
             raise NotTameError("check_tangle expects tame separations only")
-    ok, pair = is_consistent(ms)
-    if not ok:
-        return TangleVerdict(False, violation=pair)
+    small_bits, big_bits = _orientation_bits(ms)
+    pair = _first_violation(small_bits, big_bits)
+    if pair is not None:
+        return TangleVerdict(False, violation=(ms[pair[0]], ms[pair[1]]))
     if g is not None and interior_of(g, []).is_finite():
         return TangleVerdict(False, star=())
     bigs = [m.big_set() for m in ms]
-    smalls = [m.small_set() for m in ms]
     neighbor_memo: dict[int, set] = {}
 
     def neighbors(i: int) -> set:
+        """Members j that point towards i: small_i <= big_j and small_j <= big_i."""
         if i not in neighbor_memo:
+            small_i, not_big_i = small_bits[i], ~big_bits[i]
             neighbor_memo[i] = {
                 j
                 for j in range(len(ms))
-                if j != i and smalls[i].subseteq(bigs[j]) and smalls[j].subseteq(bigs[i])
+                if j != i and not (small_i & ~big_bits[j]) and not (small_bits[j] & not_big_i)
             }
         return neighbor_memo[i]
 
@@ -741,7 +814,8 @@ def distinguish(g: PatternGraph, xi1: PointOfGamma, xi2: PointOfGamma, max_horiz
             side = SymbolicSubset(cs, explicit_in={img1[1]})
         sep = Separation(cs, side)
         o1, o2 = orient_by_point(xi1, sep), orient_by_point(xi2, sep)
-        assert o1.toward_side != o2.toward_side
+        if o1.toward_side == o2.toward_side:
+            raise InvariantError(f"the separation found does not distinguish {xi1} from {xi2}")
         return sep
     raise NotFoundWithinHorizonError(max_horizon)
 

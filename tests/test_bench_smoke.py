@@ -1,7 +1,9 @@
 """The benchmark's smoke runs: closed-form and oracle answers.
 
 delete-sweep checks `components.delete`; oracle-check checks `truncate`'s
-closed form and `oracle_mismatch` on truncations.
+closed form and `oracle_mismatch` on truncations; report-gamma checks the
+recorded digests of `report` and `check-tangle --seps auto:1/2` output, the
+tangle and `distinguish` checks on every report, and the inverse systems.
 """
 
 import json
@@ -14,7 +16,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["delete-sweep", "oracle-check"])
+@pytest.mark.parametrize("workload", ["delete-sweep", "oracle-check", "report-gamma"])
 def test_smoke_answers_are_correct(workload):
     cmd = [
         sys.executable, "bench/run.py", "--workload", workload,

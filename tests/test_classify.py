@@ -13,10 +13,11 @@ from omegagraph.classify import (
     is_tough,
     trichotomy,
 )
-from omegagraph.components import delete, is_critical
+from omegagraph.components import InvariantError, delete, is_critical
 from omegagraph.gamma import gamma_space
 from omegagraph.ids import core, fanv, pfanv, stripv
 from omegagraph.pattern import UnknownVertexError, degree_class
+from omegagraph.separations import RULE_TRUE, FamilyRule
 from conftest import FIXTURE_NAMES, random_deletion, random_pattern, vertex_pool
 
 
@@ -54,6 +55,22 @@ def test_is_end_tough_witnesses(fixtures):
 def test_trichotomy_invariant_enforced():
     with pytest.raises(AssertionError):
         Classification(True, True, "NeitherCase", ())
+
+
+@pytest.mark.parametrize(
+    "broken",
+    [
+        lambda fx: Classification(True, True, "NeitherCase", ()),
+        lambda fx: FamilyRule("sometimes"),
+        lambda fx: RULE_TRUE.members(),
+        lambda fx: delete(fx["ray"], ()).tail_descriptor("s1").handle(),
+    ],
+    ids=["trichotomy", "rule-base", "infinite-members", "handle-of-tail"],
+)
+def test_invariants_raise_without_assert(broken, fixtures):
+    # explicit raises, so that they also hold under python -O
+    with pytest.raises(InvariantError):
+        broken(fixtures)
 
 
 @pytest.mark.parametrize("seed", range(20))

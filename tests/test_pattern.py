@@ -249,6 +249,10 @@ MALFORMED = {
     "top-level-list": ((), [_ray_raw()], "MalformedField"),
     "step-edge-3": (("strips", 0, "step_edges", 0), ["p", "p", "p"], "InvalidEdge"),
     "attachment-period-str": (("strips", 0, "attachments", 0, "period"), "x", "MalformedField"),
+    # int() read these as the periods 1, 1 and 3
+    "attachment-period-float": (("strips", 0, "attachments", 0, "period"), 1.7, "MalformedField"),
+    "attachment-period-bool": (("strips", 0, "attachments", 0, "period"), True, "MalformedField"),
+    "attachment-period-padded-str": (("strips", 0, "attachments", 0, "period"), " 3 ", "MalformedField"),
     "attach-edge-1": (("fans", 0, "attach_edges", 0), ["u"], "InvalidEdge"),
     # names are read as strings, so this was accepted as the loop ("1", "1")
     "core-loop-int-str": (("core",), {"vertices": ["1"], "edges": [[1, "1"]]}, "InvalidEdge"),
@@ -262,6 +266,52 @@ def test_malformed_field_rejected(case):
     with pytest.raises(PatternValidationError) as exc:
         validate(_replaced(_ray_raw(), path, value))
     assert kind in {v.kind for v in exc.value.violations}
+
+
+@pytest.mark.parametrize(
+    "renamed, kind",
+    [("x/y", "ReservedCharacter"), ("x,y", "ReservedCharacter"), ("x:y", "ReservedCharacter"),
+     ("{x", "ReservedCharacter"), ("x}", "ReservedCharacter"), ("", "MalformedField")],
+)
+@pytest.mark.parametrize("name", ["c", "s", "p", "f", "u"])
+def test_unparseable_name_rejected(name, renamed, kind):
+    # c is a core vertex, s a strip id, p a strip local, f a fan id and u a
+    # fan local; each occurs in _ray_raw only as that name
+    raw = json.loads(json.dumps(_ray_raw()).replace(f'"{name}"', json.dumps(renamed)))
+    with pytest.raises(PatternValidationError) as exc:
+        validate(raw)
+    assert [v.kind for v in exc.value.violations] == [kind]
+
+
+_NAMES = st.text(st.sampled_from("ab0 é/,:{}"), max_size=3)
+
+
+@given(_NAMES, _NAMES, _NAMES, _NAMES, _NAMES, _NAMES)
+@settings(max_examples=200, deadline=None)
+def test_vertex_tokens_round_trip_on_valid_graphs(c, s, p, w, f, u):
+    raw = {
+        "core": {"vertices": [c], "edges": []},
+        "strips": [{
+            "id": s, "period": {"vertices": [p], "edges": []}, "step_edges": [[p, p]],
+            "attachments": [{"core": c, "period": 1, "local": p}],
+            "periodic_fan": {"id": "pf", "template": {"vertices": [w], "edges": []}, "attach": [p],
+                             "attach_edges": [[w, p]]},
+        }],
+        "fans": [{"id": f, "template": {"vertices": [u], "edges": []}, "attach": [c],
+                  "attach_edges": [[u, c]]}],
+    }
+    names = (c, s, p, w, f, u)
+    unparseable = any(not n or set(n) & set("/,:{}") for n in names)
+    try:
+        g = validate(raw)
+    except PatternValidationError:
+        assert unparseable or len({c, p, w, u}) < 4  # or a NameCollision
+        return
+    assert not unparseable
+    fg = truncate(g, 2, 2)
+    assert {v.kind for v in fg.vertices} == {"core", "strip", "fan", "pfan"}
+    for v in fg.vertices:
+        assert parse_vertex(format_vertex(v)) == v
 
 
 _JSON = st.recursive(

@@ -1,5 +1,6 @@
 """Separations, tameness, filters, and tangle orientations."""
 
+import functools
 import itertools
 import random
 
@@ -7,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from omegagraph import fixture_graphs
+from omegagraph.cli import _enumerate_seps
 from omegagraph.components import delete
 from omegagraph.ids import core, stripv
 from omegagraph.separations import (
@@ -34,6 +37,7 @@ from omegagraph.separations import (
     is_star,
     is_tame,
     le,
+    lt,
     orient_by_point,
     perturb_separation,
     point_filter,
@@ -43,7 +47,8 @@ from omegagraph.separations import (
     rule_subset,
     toward_components,
 )
-from conftest import FIXTURE_NAMES
+from omegagraph.separations import SymbolicVertexSet, _orientation_bits, _side_bits
+from conftest import FIXTURE_NAMES, random_pattern, vertex_pool
 
 
 P = lambda t: stripv("s1", t, "p")
@@ -586,3 +591,122 @@ def test_tangle_check_keeps_no_side_sets_alive(fixtures):
     del seps
     gc.collect()
     assert [r() for r in refs] == [None, None]
+
+
+# ---------------------------------------------------------------------------
+# Sides as bitsets (is_consistent and check_tangle) against the symbolic le
+
+def symbolic_is_consistent(o):
+    """The symbolic pair scan that is_consistent replaced, kept as its reference."""
+    ms = list(o)
+    for p, q in itertools.permutations(ms, 2):
+        if lt(p.reverse(), q):
+            return False, (p, q)
+    return True, None
+
+
+@functools.lru_cache(maxsize=None)
+def _graph_and_seps(case):
+    """A fixture or random pattern with the CLI's auto separations over it."""
+    if case in FIXTURE_NAMES:
+        g = fixture_graphs.all_fixtures()[case]
+        return g, _enumerate_seps(g, 2, 2)
+    g = random_pattern(int(case.removeprefix("random")))
+    return g, _enumerate_seps(g, 1, 2)
+
+
+def _parity_seps(g):
+    """Untame separations splitting each fan family by parity (comb and combo)."""
+    seps = []
+    for X in ((), (P(0),), (P(1), P(2))):
+        cs = delete(g, X)
+        for d in cs.family_descriptors:
+            for rule in (FamilyRule("even"), FamilyRule("odd", frozenset({1})), FamilyRule("even", frozenset({0, 3}))):
+                seps.append(Separation(cs, SymbolicSubset(cs, rules={d.handle(): rule})))
+    return seps
+
+
+_CASES = [*FIXTURE_NAMES, *(f"random{seed}" for seed in range(30))]
+
+
+@pytest.mark.parametrize("case", _CASES)
+def test_side_bits_match_subseteq(case):
+    g, seps = _graph_and_seps(case)
+    if case in ("comb", "combo"):
+        seps = seps + _parity_seps(g)
+    rng = random.Random(case)
+    ms = [sep.orient(rng.random() < 0.5) for sep in seps]
+    smalls, bigs = _orientation_bits(ms)
+    bits = smalls + bigs
+    sides = [m.small_set() for m in ms] + [m.big_set() for m in ms]
+    disagreements = [
+        (a, b)
+        for a, b in itertools.product(range(len(sides)), repeat=2)
+        if (not bits[a] & ~bits[b]) != sides[a].subseteq(sides[b])
+    ]
+    assert disagreements == []
+
+
+def test_side_bits_see_past_the_last_named_period(fixtures):
+    # only vertices beyond every named period tell the tail from period 1
+    # apart from its first vertex
+    g = fixtures["ray"]
+    sides = [SymbolicVertexSet(g, tails={"s1": 1}), SymbolicVertexSet(g, frozenset({P(1)}))]
+    tail, first = _side_bits(g, sides)
+    assert tail & ~first and not sides[0].subseteq(sides[1])
+    assert not first & ~tail and sides[1].subseteq(sides[0])
+
+
+@pytest.mark.parametrize("case", _CASES)
+def test_is_consistent_matches_symbolic_scan(case):
+    g, seps = _graph_and_seps(case)
+    points = all_points(g, 1)
+    rng = random.Random(case)
+    for trial in range(4):
+        if points:
+            ms = list(induced_orientation(rng.choice(points), seps))
+        else:
+            ms = [sep.orient(rng.random() < 0.5) for sep in seps]
+        # the first trial keeps the induced orientation; the others reverse
+        # some members, which usually makes it inconsistent
+        ms = [m.reverse() if trial and rng.random() < 0.1 else m for m in ms]
+        assert is_consistent(ms) == symbolic_is_consistent(ms)
+
+
+def _brute_force_tangle(ms, g) -> bool:
+    """Consistent, and no star of members (the empty one too) has a finite interior."""
+    if not symbolic_is_consistent(ms)[0]:
+        return False
+    return not any(
+        is_star(sigma) and interior_of(g, sigma).is_finite()
+        for r in range(len(ms) + 1)
+        for sigma in itertools.combinations(ms, r)
+    )
+
+
+def _some(data, items):
+    return data.draw(st.lists(st.sampled_from(items), unique_by=id, max_size=6)) if items else []
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_check_tangle_matches_star_enumeration(data):
+    case = data.draw(st.sampled_from(_CASES[:16]))
+    g, seps = _graph_and_seps(case)
+    points = all_points(g, 1)
+    if points and data.draw(st.booleans()):
+        xi = data.draw(st.sampled_from(points))
+        ms = [orient_by_point(xi, sep) for sep in _some(data, seps)]
+    else:
+        # members over one deletion pointing away from their sides, which
+        # are mostly a few components: stars of several members
+        pool = vertex_pool(g, 2, 2)
+        X = data.draw(st.lists(st.sampled_from(pool), max_size=2)) if pool else []
+        ms = [sep.orient(False) for sep in _some(data, enumerate_tame_separations(delete(g, X)))]
+    ms = [m.reverse() if data.draw(st.integers(0, 5)) == 0 else m for m in ms]
+    verdict = check_tangle(ms, g)
+    assert verdict.ok == _brute_force_tangle(ms, g)
+    if verdict.violation is not None:
+        assert verdict.violation == symbolic_is_consistent(ms)[1]
+    if verdict.star is not None:
+        assert is_star(verdict.star) and interior_of(g, verdict.star).is_finite()
