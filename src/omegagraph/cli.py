@@ -222,8 +222,8 @@ def _components_json(g: PatternGraph, X) -> dict:
     }
 
 
-def _tangle_json(g: PatternGraph, xi, max_base: int, horizon: int) -> dict:
-    seps = _enumerate_seps(g, max_base, horizon)
+def _tangle_json(g: PatternGraph, xi, seps, max_base: int, horizon: int) -> dict:
+    """Tangle verdict of xi over seps, enumerated with (max_base, horizon)."""
     orientation = _separations.induced_orientation(xi, seps)
     verdict = _separations.check_tangle(orientation, g)
     out = {
@@ -282,7 +282,8 @@ def _analysis_report(g: PatternGraph, args, full: bool) -> dict:
     if full:
         report["components"] = [_components_json(g, X) for X in family]
         pts = _separations.all_points(g, horizon)
-        report["tangles"] = [_tangle_json(g, xi, 1, min(horizon, 2)) for xi in pts]
+        seps = _enumerate_seps(g, 1, min(horizon, 2))
+        report["tangles"] = [_tangle_json(g, xi, seps, 1, min(horizon, 2)) for xi in pts]
         report["distinguish"] = [
             _distinguish_json(g, a, b) for a, b in itertools.combinations(pts, 2)
         ]
@@ -417,7 +418,8 @@ def _cmd_check_tangle(args) -> int:
     if not args.seps.startswith("auto:"):
         raise CliError("only --seps auto:<max base size> is supported")
     max_base = int(args.seps.split(":", 1)[1])
-    out = _tangle_json(g, xi, max_base, args.horizon)
+    seps = _enumerate_seps(g, max_base, args.horizon)
+    out = _tangle_json(g, xi, seps, max_base, args.horizon)
     _emit(out, args)
     return 0 if out["ok"] else 2
 
@@ -441,12 +443,15 @@ def _cmd_export_dot(args) -> int:
     return 0
 
 
-def _add_common(p: argparse.ArgumentParser):
+def _common_parser() -> argparse.ArgumentParser:
+    """The arguments every subcommand takes, as a parent parser."""
+    p = argparse.ArgumentParser(add_help=False)
     p.add_argument("spec", help="path to a pattern graph JSON file")
     p.add_argument("--json", action="store_true", help="emit canonical JSON")
     p.add_argument("--seed", type=int, default=0, help="seed recorded in reports")
     p.add_argument("--horizon", type=int, default=2, help="period horizon for enumerations")
     p.add_argument("--copies", type=int, default=3, help="fan copy bound for truncations")
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -457,48 +462,40 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = ap.add_subparsers(dest="command", required=True)
+    common = _common_parser()
 
-    p = sub.add_parser("analyze", help="classification, critical sets, gamma system check")
-    _add_common(p)
+    p = sub.add_parser("analyze", help="classification, critical sets, gamma system check", parents=[common])
     p.set_defaults(fn=_cmd_analyze)
 
-    p = sub.add_parser("report", help="full analysis report including tangles")
-    _add_common(p)
+    p = sub.add_parser("report", help="full analysis report including tangles", parents=[common])
     p.set_defaults(fn=_cmd_report)
 
-    p = sub.add_parser("components", help="components of G - X")
-    _add_common(p)
+    p = sub.add_parser("components", help="components of G - X", parents=[common])
     p.add_argument("--delete", default="", help="comma-separated vertex tokens")
     p.set_defaults(fn=_cmd_components)
 
-    p = sub.add_parser("critical", help="enumerate critical vertex sets")
-    _add_common(p)
+    p = sub.add_parser("critical", help="enumerate critical vertex sets", parents=[common])
     p.add_argument("--max-size", type=int, default=4)
     p.set_defaults(fn=_cmd_critical)
 
-    p = sub.add_parser("classify", help="tough / end-tough trichotomy")
-    _add_common(p)
+    p = sub.add_parser("classify", help="tough / end-tough trichotomy", parents=[common])
     p.set_defaults(fn=_cmd_classify)
 
-    p = sub.add_parser("limit", help="limit points over a directed family")
-    _add_common(p)
+    p = sub.add_parser("limit", help="limit points over a directed family", parents=[common])
     p.add_argument("--family", required=True, help='e.g. "{};{strip:s1/0/p}"')
     p.set_defaults(fn=_cmd_limit)
 
-    p = sub.add_parser("check-tangle", help="verify a point's induced orientation")
-    _add_common(p)
+    p = sub.add_parser("check-tangle", help="verify a point's induced orientation", parents=[common])
     p.add_argument("--point", required=True, help="end:s1 or crit:{core:a}")
     p.add_argument("--seps", default="auto:1", help="auto:<max base size>")
     p.set_defaults(fn=_cmd_check_tangle)
 
-    p = sub.add_parser("distinguish", help="separate two limit points")
-    _add_common(p)
+    p = sub.add_parser("distinguish", help="separate two limit points", parents=[common])
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
     p.set_defaults(fn=_cmd_distinguish)
 
-    p = sub.add_parser("export-dot", help="DOT of a truncation")
-    _add_common(p)
+    p = sub.add_parser("export-dot", help="DOT of a truncation", parents=[common])
     p.add_argument("--periods", type=int, default=3)
     p.set_defaults(fn=_cmd_export_dot)
 

@@ -79,13 +79,17 @@ class ComponentDescriptor:
     families: tuple[tuple[Handle, frozenset], ...]  # (handle, excluded copies)
     neighborhood: frozenset
 
-    def key(self):
-        return (
+    def __post_init__(self):
+        # computed once; an attribute, not a field, so ==, hash and repr ignore it
+        object.__setattr__(self, "_key", (
             self.kind,
             tuple(sorted(v.sort_key() for v in self.vertices)),
             tuple((t.strip, t.start) for t in self.tails),
             tuple((h, tuple(sorted(e))) for h, e in self.families),
-        )
+        ))
+
+    def key(self):
+        return self._key
 
     def sort_key(self):
         if self.vertices:
@@ -324,6 +328,7 @@ class ComponentSystem:
         self.descriptors: tuple = tuple(descs)
         self.explicit_descriptors = tuple(d for d in descs if d.kind != "family")
         self.family_descriptors = tuple(d for d in descs if d.kind == "family")
+        self.explicit_keys = frozenset(d.key() for d in self.explicit_descriptors)
         self._by_key = {d.key(): d for d in descs}
 
         by_nbhd: dict[frozenset, dict] = {}

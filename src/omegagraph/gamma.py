@@ -220,6 +220,7 @@ def maps_equal(m1: FduMap, m2: FduMap) -> bool:
             # distinct uniform rules can still agree only on a finite family
             if membership.is_infinite():
                 return False
+            probes.update(membership.members())
         for k in sorted(probes):
             if membership(k) and m1.apply(("member", h, k)) != m2.apply(("member", h, k)):
                 return False
@@ -285,7 +286,7 @@ def is_surjective(m: FduMap) -> bool:
     covered_limits = set()
     covered_members: dict[Handle, FamilyRule] = {}
 
-    def cover(pt, src_rule=None):
+    def cover(pt):
         if pt[0] == "limit":
             covered_limits.add(pt[1])
         elif pt[0] == "named":
@@ -303,7 +304,8 @@ def is_surjective(m: FduMap) -> bool:
         exceptional = {p[2] for p in m.exceptions if p[0] == "member" and p[1] == h}
         surviving = rule_and(membership, rule_singletons(exceptional).negate())
         if hr[0] == "const":
-            cover(hr[1])
+            if not surviving.is_empty():
+                cover(hr[1])
         else:
             th = hr[1]
             covered_members[th] = rule_or(covered_members.get(th, RULE_FALSE), surviving)
@@ -339,9 +341,13 @@ def bonding_f(cs: ComponentSystem, cs_prime: ComponentSystem) -> FduMap:
     Components map by inclusion; critical sets of X' persisting in X stay
     fixed; the rest land on the unique component meeting them.
     """
+    return _bonding_f(cs, cs_prime, gamma_space(cs_prime), gamma_space(cs))
+
+
+def _bonding_f(cs: ComponentSystem, cs_prime: ComponentSystem, src: FduSpace, dst: FduSpace) -> FduMap:
+    """bonding_f with the gamma spaces over X' (src) and X (dst) already built."""
     if not cs.X <= cs_prime.X:
         raise NotNestedError("bonding maps run from finer to coarser deletions")
-    src, dst = gamma_space(cs_prime), gamma_space(cs)
     exceptions = {}
     for d in cs_prime.explicit_descriptors:
         exceptions[named_point(d)] = locate_point(cs, _probe_vertex(cs.g, d))
@@ -373,9 +379,11 @@ def project(cs: ComponentSystem, xi: PointOfGamma):
 
 def _check_directed(family):
     sets = [frozenset(X) for X in family]
+    members = set(sets)
     for a in sets:
         for b in sets:
-            if not any(a | b <= c for c in sets):
+            u = a | b
+            if u not in members and not any(u <= c for c in sets):
                 raise NotDirectedError(
                     f"{sorted(map(str, a))} and {sorted(map(str, b))} have no upper bound"
                 )
@@ -405,11 +413,12 @@ def build_system(g: PatternGraph, family):
     """Component systems and bonding maps over a directed family."""
     sets = _check_directed(family)
     css = {X: delete(g, X) for X in sets}
+    spaces = {X: gamma_space(cs) for X, cs in css.items()}
     maps = {}
     for Xs in sets:
         for Xt in sets:
             if Xt <= Xs:
-                maps[(Xs, Xt)] = bonding_f(css[Xt], css[Xs])
+                maps[(Xs, Xt)] = _bonding_f(css[Xt], css[Xs], spaces[Xs], spaces[Xt])
     return css, maps
 
 
@@ -466,19 +475,15 @@ def limit_points(g: PatternGraph, family, horizon: int):
     """Ends and critical sets within horizon, with their compatible threads."""
     from .separations import all_points
 
-    sets = _check_directed(family)
-    css = {X: delete(g, X) for X in sets}
+    css, maps = build_system(g, family)
     out = []
     for xi in all_points(g, horizon):
-        thread = {X: project(css[X], xi) for X in sets}
-        for Xs in sets:
-            for Xt in sets:
-                if Xt <= Xs:
-                    m = bonding_f(css[Xt], css[Xs])
-                    if m.apply(thread[Xs]) != thread[Xt]:
-                        raise InvariantError(
-                            f"thread of {xi} incompatible between {sorted(map(str, Xt))} and {sorted(map(str, Xs))}"
-                        )
+        thread = {X: project(cs, xi) for X, cs in css.items()}
+        for (Xs, Xt), m in maps.items():
+            if m.apply(thread[Xs]) != thread[Xt]:
+                raise InvariantError(
+                    f"thread of {xi} incompatible between {sorted(map(str, Xt))} and {sorted(map(str, Xs))}"
+                )
         out.append((xi, thread))
     return out
 

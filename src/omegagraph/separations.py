@@ -153,8 +153,7 @@ class SymbolicSubset:
     def __init__(self, cs: ComponentSystem, explicit_in=(), rules=None):
         self.cs = cs
         self.explicit_in = frozenset(explicit_in)
-        all_keys = {d.key() for d in cs.explicit_descriptors}
-        if not self.explicit_in <= all_keys:
+        if not self.explicit_in <= cs.explicit_keys:
             raise InvariantError("unknown explicit component")
         self.rules: dict[Handle, FamilyRule] = {}
         for d in cs.family_descriptors:
@@ -171,7 +170,7 @@ class SymbolicSubset:
     def full(cs) -> "SymbolicSubset":
         return SymbolicSubset(
             cs,
-            (d.key() for d in cs.explicit_descriptors),
+            cs.explicit_keys,
             {d.handle(): RULE_TRUE for d in cs.family_descriptors},
         )
 
@@ -190,10 +189,9 @@ class SymbolicSubset:
             raise BaseMismatchError("subsets live over different deletions")
 
     def complement(self) -> "SymbolicSubset":
-        keys = {d.key() for d in self.cs.explicit_descriptors}
         return SymbolicSubset(
             self.cs,
-            keys - self.explicit_in,
+            self.cs.explicit_keys - self.explicit_in,
             {h: r.negate() for h, r in self.rules.items()},
         )
 

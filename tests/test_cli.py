@@ -2,6 +2,7 @@
 
 import json
 
+from omegagraph import cli
 from omegagraph.cli import main
 from omegagraph.fixture_graphs import fixture_path
 from omegagraph.pattern import validate, to_raw
@@ -201,3 +202,38 @@ def test_fixture_specs_round_trip():
         raw = json.load(open(path))
         g = validate(raw)
         assert validate(json.loads(json.dumps(to_raw(g)))) == g
+
+
+def test_every_subcommand_takes_the_common_options():
+    required = {
+        "limit": ["--family", "{}"],
+        "check-tangle": ["--point", "end:s1"],
+        "distinguish": ["--a", "end:s1", "--b", "end:s1"],
+    }
+    commands = ["analyze", "report", "components", "critical", "classify", "limit",
+                "check-tangle", "distinguish", "export-dot"]
+    for command in commands:
+        extra = required.get(command, [])
+        args = cli.build_parser().parse_args([command, "g.json"] + extra)
+        assert (args.spec, args.json, args.seed, args.horizon, args.copies) == ("g.json", False, 0, 2, 3)
+        args = cli.build_parser().parse_args(
+            [command, "g.json", "--json", "--seed", "4", "--horizon", "5", "--copies", "6"] + extra
+        )
+        assert (args.json, args.seed, args.horizon, args.copies) == (True, 4, 5, 6)
+
+
+def test_report_enumerates_separations_once(capsys, monkeypatch):
+    calls = 0
+    enumerate_seps = cli._enumerate_seps
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return enumerate_seps(*args)
+
+    monkeypatch.setattr(cli, "_enumerate_seps", counting)
+    code, out, _ = run(capsys, "report", "--json", SPEC["comb"], "--horizon", "3")
+    assert code == 0
+    tangles = json.loads(out)["tangles"]
+    assert len(tangles) > 1 and calls == 1
+    assert len({t["separations"] for t in tangles}) == 1

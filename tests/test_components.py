@@ -1,10 +1,12 @@
 """Symbolic component systems against the truncation oracle."""
 
+import dataclasses
 import random
 
 import pytest
 
 from omegagraph.components import (
+    ComponentDescriptor,
     NotASubsetError,
     NotCriticalError,
     NotNestedError,
@@ -90,6 +92,38 @@ def test_delete_find_calls_grow_linearly(fixtures, monkeypatch):
         delete(fixtures["comb"], {stripv("s1", t, "p") for t in range(n)})
         counts[n] = calls
     assert counts[400] <= 2.2 * counts[200], counts
+
+
+def _fresh_key(d):
+    return (
+        d.kind,
+        tuple(sorted(v.sort_key() for v in d.vertices)),
+        tuple((t.strip, t.start) for t in d.tails),
+        tuple((h, tuple(sorted(e))) for h, e in d.families),
+    )
+
+
+def test_descriptor_key_is_computed_once_and_exact(fixtures):
+    rng = random.Random(13)
+    graphs = [fixtures[name] for name in FIXTURE_NAMES] + [random_pattern(seed) for seed in range(30)]
+    for g in graphs:
+        for _ in range(3):
+            cs = delete(g, random_deletion(g, rng, 3))
+            for d in cs.descriptors:
+                assert d.key() == _fresh_key(d)
+            assert cs.explicit_keys == frozenset(_fresh_key(d) for d in cs.explicit_descriptors)
+
+
+def test_descriptor_stays_a_plain_frozen_dataclass(fixtures):
+    d = delete(fixtures["combo"], {core("a")}).descriptors[0]
+    assert [f.name for f in dataclasses.fields(d)] == ["kind", "vertices", "tails", "families", "neighborhood"]
+    twin = ComponentDescriptor(d.kind, d.vertices, d.tails, d.families, d.neighborhood)
+    assert twin == d and hash(twin) == hash(d) and repr(twin) == repr(d)
+    assert "_key" not in repr(d)
+    assert dataclasses.replace(d, neighborhood=frozenset()).key() == d.key()
+    for name in ("kind", "_key"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(d, name, None)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,8 @@ from omegagraph.gamma import (
     quotient_to_gamma,
     verify_system,
 )
-from omegagraph.ids import core, stripv
+from omegagraph import gamma
+from omegagraph.ids import core, parse_vertex, stripv
 from omegagraph.separations import FamilyRule, all_points, crit_point, end_point, distinguish
 from conftest import FIXTURE_NAMES, random_deletion, random_pattern
 
@@ -344,3 +345,125 @@ def test_compose_chain_matches_direct(fixtures):
     chained = compose(bonding_f(cs1, cs2), bonding_f(cs2, cs3))
     assert maps_equal(direct, chained)
     assert is_continuous(direct).ok and is_continuous(chained).ok
+
+
+# ---------------------------------------------------------------------------
+# map predicates on finite families
+
+def test_maps_equal_probes_members_of_finite_family():
+    h = ("fan", "f1")
+    A, B = ("named", "A"), ("named", "B")
+    src = FduSpace(clusters=(Cluster("L", (), ((h, FamilyRule("false", frozenset({0, 1}))),)),))
+    dst = FduSpace(isolated=(A, B))
+    m1 = gamma.FduMap(src, dst, handle_rules={h: ("const", A)}, limit_images={"L": A})
+    m2 = gamma.FduMap(src, dst, handle_rules={h: ("const", B)}, limit_images={"L": A})
+    assert m1.apply(member_point(h, 0)) != m2.apply(member_point(h, 0))
+    assert not maps_equal(m1, m2)
+    assert maps_equal(m1, m1)
+
+
+def test_is_surjective_const_image_needs_a_preimage():
+    h = ("fan", "f1")
+    A, B = ("named", "A"), ("named", "B")
+    src = FduSpace((A,), (Cluster("L", (), ((h, FamilyRule("false", frozenset({0}))),)),))
+    dst = FduSpace(isolated=(A, B))
+    m = gamma.FduMap(
+        src,
+        dst,
+        exceptions={A: A, member_point(h, 0): A},
+        handle_rules={h: ("const", B)},
+        limit_images={"L": A},
+    )
+    assert all(m.apply(p) == A for p in (A, member_point(h, 0), limit_point("L")))
+    assert not is_surjective(m)
+    # the same rule with a surviving member does reach B
+    m.exceptions.pop(member_point(h, 0))
+    assert is_surjective(m)
+
+
+# ---------------------------------------------------------------------------
+# each space and map built once, against the per-pair public bonding_f
+
+POWER_SET_POOL = [parse_vertex(t) for t in ("core:a", "core:b", "core:d", "strip:s1/0/p", "strip:s1/1/p")]
+
+
+def _power_set(n):
+    return [frozenset(c) for r in range(n + 1) for c in itertools.combinations(POWER_SET_POOL[:n], r)]
+
+
+def _reference_system(g, family):
+    sets = [frozenset(X) for X in family]
+    css = {X: delete(g, X) for X in sets}
+    maps = {(Xs, Xt): bonding_f(css[Xt], css[Xs]) for Xs in sets for Xt in sets if Xt <= Xs}
+    return css, maps
+
+
+def _reference_limit_points(g, family, horizon):
+    sets = [frozenset(X) for X in family]
+    css = {X: delete(g, X) for X in sets}
+    out = []
+    for xi in all_points(g, horizon):
+        thread = {X: project(css[X], xi) for X in sets}
+        for Xs in sets:
+            for Xt in sets:
+                if Xt <= Xs:
+                    assert bonding_f(css[Xt], css[Xs]).apply(thread[Xs]) == thread[Xt]
+        out.append((xi, thread))
+    return out
+
+
+def _directed_families(fixtures):
+    rng = random.Random(11)
+    for name in FIXTURE_NAMES:
+        g = fixtures[name]
+        a, b = random_deletion(g, rng, 2), random_deletion(g, rng, 2)
+        yield name, g, [frozenset(), a, b, a | b]
+
+
+def _same_threads(got, want):
+    assert [str(xi) for xi, _ in got] == [str(xi) for xi, _ in want]
+    assert [list(th.items()) for _, th in got] == [list(th.items()) for _, th in want]
+
+
+def test_check_inverse_system_matches_per_pair_reference(fixtures):
+    cases = [("combo", fixtures["combo"], _power_set(n)) for n in (3, 4, 5)]
+    cases += list(_directed_families(fixtures))
+    for name, g, family in cases:
+        got = check_inverse_system(g, family).entries
+        want = verify_system(*_reference_system(g, family)).entries
+        assert got == want, (name, len(family))
+        _same_threads(limit_points(g, family, 2), _reference_limit_points(g, family, 2))
+
+
+def test_build_system_builds_each_space_once(fixtures, monkeypatch):
+    calls = 0
+    space = gamma.gamma_space
+
+    def counting_space(cs):
+        nonlocal calls
+        calls += 1
+        return space(cs)
+
+    monkeypatch.setattr(gamma, "gamma_space", counting_space)
+    report = check_inverse_system(fixtures["combo"], _power_set(4))
+    assert report.ok
+    assert calls == 16  # per map, twice over 3**4 nested pairs, would be 162
+
+
+def test_limit_points_builds_maps_once_per_call(fixtures, monkeypatch):
+    calls = 0
+    build = gamma._bonding_f
+
+    def counting_build(*args):
+        nonlocal calls
+        calls += 1
+        return build(*args)
+
+    monkeypatch.setattr(gamma, "_bonding_f", counting_build)
+    counts = {}
+    for horizon in (1, 3):
+        calls = 0
+        pts = limit_points(fixtures["combo"], _power_set(3), horizon)
+        counts[horizon] = (calls, len(pts))
+    assert counts[1][0] == counts[3][0] == 3 ** 3, counts
+    assert counts[1][1] < counts[3][1], counts
