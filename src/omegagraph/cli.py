@@ -199,8 +199,8 @@ def _default_family(g: PatternGraph, horizon: int) -> list[frozenset]:
     return sorted(family, key=lambda X: (len(X), tuple(sorted(v.sort_key() for v in X))))
 
 
-def _system_json(g: PatternGraph, family) -> dict:
-    report = _gamma.check_inverse_system(g, family)
+def _system_json(family, css: dict, maps: dict) -> dict:
+    report = _gamma.verify_system(css, maps)
     return {
         "family": [_tokens(X) for X in family],
         "ok": report.ok,
@@ -211,10 +211,9 @@ def _system_json(g: PatternGraph, family) -> dict:
     }
 
 
-def _components_json(g: PatternGraph, X) -> dict:
-    cs = _components.delete(g, X)
+def _components_json(cs: _components.ComponentSystem) -> dict:
     return {
-        "X": _tokens(X),
+        "X": _tokens(cs.X),
         "components": [_desc_json(d) for d in cs.descriptors],
         "crit": [_tokens(Y) for Y in sorted(cs.crit(), key=lambda Y: (len(Y), _tokens(Y)))],
         "cx_minus": [_desc_json(d) for d in cs.cx_minus()],
@@ -272,15 +271,16 @@ def _distinguish_json(g: PatternGraph, xi1, xi2) -> dict:
 def _analysis_report(g: PatternGraph, args, full: bool) -> dict:
     horizon = args.horizon
     family = _default_family(g, horizon)
+    css, maps = _gamma.build_system(g, family)
     report = {
         "seed": args.seed,
         "summary": _summary_json(g),
         "classification": _classification_json(g),
         "critical": _critical_json(g, max_size=4, horizon=horizon),
-        "gamma_system": _system_json(g, family),
+        "gamma_system": _system_json(family, css, maps),
     }
     if full:
-        report["components"] = [_components_json(g, X) for X in family]
+        report["components"] = [_components_json(css[X]) for X in family]
         pts = _separations.all_points(g, horizon)
         seps = _enumerate_seps(g, 1, min(horizon, 2))
         report["tangles"] = [_tangle_json(g, xi, seps, 1, min(horizon, 2)) for xi in pts]
@@ -347,7 +347,7 @@ def _cmd_report(args) -> int:
 def _cmd_components(args) -> int:
     g = _load(args.spec)
     X = _parse_vertices(g, args.delete or "")
-    _emit(_components_json(g, X), args)
+    _emit(_components_json(_components.delete(g, X)), args)
     return 0
 
 
@@ -367,10 +367,10 @@ def _cmd_limit(args) -> int:
     g = _load(args.spec)
     family = _parse_family(g, args.family)
     try:
-        pts = _gamma.limit_points(g, family, args.horizon)
+        css, maps = _gamma.build_system(g, family)
     except _gamma.NotDirectedError as exc:
         raise CliError(f"NotDirected: {exc}") from None
-    css = {X: _components.delete(g, X) for X in {X for _, th in pts for X in th}}
+    pts = _gamma._threads(g, css, maps, args.horizon)
     out = {
         "family": [_tokens(X) for X in family],
         "horizon": args.horizon,

@@ -8,14 +8,21 @@
 * big components: an explicit finite part plus strip tails and whole fan
   families absorbed into one connected piece,
 
-each carrying its exact neighbourhood inside X.  Everything is computed
-by instantiating the finitely many periods/copies that X can touch and
-running union-find over explicit vertices plus one symbolic node per
-strip tail and per fan family; beyond the stabilization bound the
-pattern is untouched, so the symbolic parts are exact.
+each carrying its exact neighbourhood inside X.  Union-find runs over
+explicit vertices only where X or an attachment marks a period, and over
+symbolic nodes for the rest: one per fan family, one per strip tail
+(from one past the last period X meets), and one per run of unmarked
+periods between marked ones.  A run is connected, together with its
+periodic fans, because the period template is connected, some step edge
+joins consecutive periods and every periodic fan attaches to its period;
+so it is wired like a single period to its neighbours and dominators.
+Past the stabilization bound the pattern is untouched, so the symbolic
+parts are exact.
 
-Construction is linear in the instantiated nodes: X is read once, and
-each node is found once when the classes are gathered.
+The union-find grows with X and the attachments, not with the deepest
+period: X is read once, and each node is found once when the classes
+are gathered.  Only the output, which lists every vertex and handle of a
+run, grows with the deepest period.
 """
 
 from __future__ import annotations
@@ -83,7 +90,7 @@ class ComponentDescriptor:
         # computed once; an attribute, not a field, so ==, hash and repr ignore it
         object.__setattr__(self, "_key", (
             self.kind,
-            tuple(sorted(v.sort_key() for v in self.vertices)),
+            tuple(sorted(map(VertexId.sort_key, self.vertices))),
             tuple((t.strip, t.start) for t in self.tails),
             tuple((h, tuple(sorted(e))) for h, e in self.families),
         ))
@@ -93,7 +100,7 @@ class ComponentDescriptor:
 
     def sort_key(self):
         if self.vertices:
-            return (0,) + min(v.sort_key() for v in self.vertices), self.key()
+            return (0,) + self._key[1][0], self.key()
         if self.tails:
             t = self.tails[0]
             return (1, t.strip, t.start), self.key()
@@ -182,35 +189,47 @@ class ComponentSystem:
 
     def _build(self):
         g, X = self.g, self.X
-        # read X once: periods it mentions per strip, copies it hits per handle
-        mentioned: dict[str, list[int]] = {s.id: [t for _, t, _ in s.attachments] for s in g.strips}
+        # read X once: periods it meets per strip, copies it hits per handle
+        met: dict[str, list[int]] = {s.id: [] for s in g.strips}
         hit: dict[Handle, list[int]] = {}
         for v in X:
             if v.kind in ("strip", "pfan"):
-                mentioned[v.owner].append(v.t)
+                met[v.owner].append(v.t)
             if v.kind == "fan":
                 hit.setdefault(("fan", v.owner), []).append(v.k)
             elif v.kind == "pfan":
                 hit.setdefault(("pfan", v.owner, v.t), []).append(v.k)
-        # horizon per strip: X touches only periods below it, minus one
-        self.T: dict[str, int] = {sid: max(ts) + 2 if ts else 0 for sid, ts in mentioned.items()}
-        # copies of each family meeting X get instantiated explicitly
+        # horizon per strip: X and the attachments touch only periods below it, minus one
+        self.T: dict[str, int] = {
+            s.id: max([t for _, t, _ in s.attachments] + met[s.id], default=-2) + 2 for s in g.strips
+        }
+        # X meets no period from the tail start on, so all of that is one piece
+        self._start: dict[str, int] = {sid: max(ts, default=-1) + 1 for sid, ts in met.items()}
+        # below it, periods that X or an attachment mentions get explicit nodes;
+        # each run of other periods is one node, since it is connected with its fans
+        segs: dict[str, list[tuple]] = {}  # per strip, in order: (first period, node or None if explicit)
         handles: list[Handle] = [("fan", f.id) for f in g.fans]
-        for s in g.strips:
-            if s.periodic_fan:
-                handles.extend(("pfan", s.id, t) for t in range(self.T[s.id]))
-        self.excl: dict[Handle, frozenset] = {h: frozenset(hit.get(h, ())) for h in handles}
-
         explicit: list[VertexId] = [core(c) for c in g.core_vertices]
         for s in g.strips:
-            for t in range(self.T[s.id]):
+            start = self._start[s.id]
+            marked = sorted({t for _, t, _ in s.attachments if t < start}.union(met[s.id]))
+            seq, a = [], 0
+            for t in marked:
+                if a < t:
+                    seq.append((a, ("run", s.id, a, t)))
+                seq.append((t, None))
                 explicit.extend(stripv(s.id, t, l) for l in s.locals)
+                if s.periodic_fan:
+                    handles.append(("pfan", s.id, t))
+                a = t + 1
+            seq.append((start, ("tail", s.id)))
+            segs[s.id] = seq
+        self.excl: dict[Handle, frozenset] = {h: frozenset(hit.get(h, ())) for h in handles}
         for handle, excl in self.excl.items():
             for k in sorted(excl):
                 explicit.extend(copy_vertices(g, handle, k))
-        alive = [v for v in explicit if v not in X]
-        nodes = [("v", v) for v in alive]
-        nodes += [("tail", s.id) for s in g.strips]
+        nodes = [("v", v) for v in explicit if v not in X]
+        nodes += [node for seq in segs.values() for _, node in seq if node]
         nodes += [("fam",) + h for h in self.excl]
 
         uf = _oracle.UnionFind(nodes)
@@ -235,23 +254,20 @@ class ComponentSystem:
         for a, b in g.core_edges:
             wire(vk(core(a)), vk(core(b)))
         for s in g.strips:
-            Ts = self.T[s.id]
-            for t in range(Ts):
-                for a, b in s.internal_edges:
-                    wire(vk(stripv(s.id, t, a)), vk(stripv(s.id, t, b)))
+            seq = segs[s.id]
+            # a run or the tail is its own node; an explicit period has one per vertex
+            for (t, node), (u, nxt) in zip(seq, seq[1:]):
+                if node is None:
+                    for a, b in s.internal_edges:
+                        wire(vk(stripv(s.id, t, a)), vk(stripv(s.id, t, b)))
                 for a, b in s.step_edges:
-                    if t + 1 < Ts:
-                        wire(vk(stripv(s.id, t, a)), vk(stripv(s.id, t + 1, b)))
-                    else:
-                        wire(vk(stripv(s.id, t, a)), ("tail", s.id))
+                    wire(node or vk(stripv(s.id, u - 1, a)), nxt or vk(stripv(s.id, u, b)))
             for c, t, l in s.attachments:
-                wire(vk(core(c)), vk(stripv(s.id, t, l)))
+                wire(vk(core(c)), vk(stripv(s.id, t, l)) if t < self._start[s.id] else ("tail", s.id))
         for d, sid in g.dominations:
-            s = g.strip(sid)
-            tgt = s.domination_target()
-            for t in range(self.T[sid]):
-                wire(vk(core(d)), vk(stripv(sid, t, tgt)))
-            wire(vk(core(d)), ("tail", sid))
+            tgt = g.strip(sid).domination_target()
+            for t, node in segs[sid]:
+                wire(vk(core(d)), node or vk(stripv(sid, t, tgt)))
         for handle, excl in self.excl.items():
             fan = g.fan(handle[1]) if handle[0] == "fan" else g.strip(handle[1]).periodic_fan
             anchors = sorted(handle_attach_vertices(g, handle), key=VertexId.sort_key)
@@ -269,60 +285,52 @@ class ComponentSystem:
                     else:
                         wire(vk(pfanv(handle[1], handle[2], k, l)), vk(stripv(handle[1], handle[2], c)))
 
-        # gather classes and their members in one pass over the nodes
+        # gather classes and their material in one pass over the nodes
         classes: dict[tuple, dict] = {}
         for n in nodes:
             root = uf.find(n)
-            cls = classes.setdefault(root, {"members": [], "verts": set(), "tails": [], "fams": [], "N": set()})
-            cls["members"].append(n)
+            cls = classes.setdefault(root, {"verts": [], "tails": [], "fams": [], "N": set()})
             if n[0] == "v":
-                cls["verts"].add(n[1])
+                cls["verts"].append(n[1])
             elif n[0] == "tail":
                 cls["tails"].append(n[1])
-            else:
+            elif n[0] == "fam":
                 cls["fams"].append(tuple(n[1:]))
+            else:  # a run: its strip vertices and its periodic-fan handles, none excluded
+                _, sid, a, b = n
+                s = g.strip(sid)
+                cls["verts"].extend(stripv(sid, t, l) for t in range(a, b) for l in s.locals)
+                if s.periodic_fan:
+                    cls["fams"].extend(("pfan", sid, t) for t in range(a, b))
             cls["N"] |= nmarks[n]
 
-        self._node_desc: dict[tuple, ComponentDescriptor] = {}
         self._vertex_desc: dict[VertexId, ComponentDescriptor] = {}
+        self._handle_desc: dict[Handle, ComponentDescriptor] = {}
+        self._tail_desc: dict[str, ComponentDescriptor] = {}
         descs: list[ComponentDescriptor] = []
         for cls in classes.values():
-            if not cls["verts"] and not cls["tails"] and len(cls["fams"]) == 1:
-                handle = cls["fams"][0]
+            verts, tails, fams = cls["verts"], cls["tails"], cls["fams"]
+            if not verts and not tails and len(fams) == 1:
                 desc = ComponentDescriptor(
                     "family",
                     frozenset(),
                     (),
-                    ((handle, self.excl[handle]),),
+                    ((fams[0], self.excl[fams[0]]),),
                     frozenset(cls["N"]),
                 )
             else:
-                verts = set(cls["verts"])
-                fams = {h: self.excl[h] for h in cls["fams"]}
-                tails = {}
-                for sid in cls["tails"]:
-                    t0 = self.T[sid]
-                    s = self.g.strip(sid)
-                    while t0 > 0 and self._period_clean(sid, t0 - 1):
-                        for l in s.locals:
-                            verts.discard(stripv(sid, t0 - 1, l))
-                        fams.pop(("pfan", sid, t0 - 1), None)
-                        t0 -= 1
-                    tails[sid] = t0
-                kind = "big" if tails or fams else "finite"
                 desc = ComponentDescriptor(
-                    kind,
+                    "big" if tails or fams else "finite",
                     frozenset(verts),
-                    tuple(TailSeg(sid, t0) for sid, t0 in sorted(tails.items())),
-                    tuple(sorted(((h, e) for h, e in fams.items()), key=lambda he: handle_sort_key(he[0]))),
+                    tuple(TailSeg(sid, self._start[sid]) for sid in sorted(tails)),
+                    # plain tuple order is handle_sort_key's: fan and pfan handles differ first
+                    tuple((h, self.excl.get(h, frozenset())) for h in sorted(fams)),
                     frozenset(cls["N"]),
                 )
             descs.append(desc)
-            for n in cls["members"]:
-                if n[0] == "v":
-                    self._vertex_desc[n[1]] = desc
-                else:
-                    self._node_desc[n] = desc
+            self._vertex_desc.update(dict.fromkeys(verts, desc))
+            self._handle_desc.update(dict.fromkeys(fams, desc))
+            self._tail_desc.update(dict.fromkeys(tails, desc))
 
         descs.sort(key=ComponentDescriptor.sort_key)
         self.descriptors: tuple = tuple(descs)
@@ -343,14 +351,6 @@ class ComponentSystem:
         excl_tops = [max(e) + 2 for e in self.excl.values() if e]
         self.stabilization_bound = max([1] + list(self.T.values()) + excl_tops)
 
-    def _period_clean(self, sid: str, t: int) -> bool:
-        s = self.g.strip(sid)
-        if any(stripv(sid, t, l) in self.X for l in s.locals):
-            return False
-        if s.periodic_fan and self.excl.get(("pfan", sid, t)):
-            return False
-        return True
-
     # -- queries -----------------------------------------------------------
 
     def descriptor(self, key) -> ComponentDescriptor:
@@ -360,13 +360,16 @@ class ComponentSystem:
             raise UnknownComponentError(key) from None
 
     def tail_descriptor(self, strip_id: str) -> ComponentDescriptor:
-        return self._node_desc[("tail", strip_id)]
+        return self._tail_desc[strip_id]
 
     def handle_descriptor(self, handle: Handle) -> ComponentDescriptor:
         """The descriptor whose material includes the copies of handle."""
-        if handle[0] == "pfan" and handle[2] >= self.T.get(handle[1], 0):
-            return self.tail_descriptor(handle[1])
-        return self._node_desc[("fam",) + handle]
+        if handle in self._handle_desc:
+            return self._handle_desc[handle]
+        start = self._start.get(handle[1]) if handle[0] == "pfan" else None
+        if start is not None and handle[2] >= start and self.g.strip(handle[1]).periodic_fan:
+            return self._tail_desc[handle[1]]
+        raise UnknownComponentError(handle)
 
     def handle_excluded(self, handle: Handle) -> frozenset:
         return self.excl.get(handle, frozenset())

@@ -473,9 +473,13 @@ def check_inverse_system(g: PatternGraph, family) -> SystemReport:
 
 def limit_points(g: PatternGraph, family, horizon: int):
     """Ends and critical sets within horizon, with their compatible threads."""
+    return _threads(g, *build_system(g, family), horizon)
+
+
+def _threads(g: PatternGraph, css: dict, maps: dict, horizon: int):
+    """limit_points over a system that build_system already built."""
     from .separations import all_points
 
-    css, maps = build_system(g, family)
     out = []
     for xi in all_points(g, horizon):
         thread = {X: project(cs, xi) for X, cs in css.items()}

@@ -237,3 +237,28 @@ def test_report_enumerates_separations_once(capsys, monkeypatch):
     tangles = json.loads(out)["tangles"]
     assert len(tangles) > 1 and calls == 1
     assert len({t["separations"] for t in tangles}) == 1
+
+
+def test_limit_and_report_delete_each_set_once(capsys, monkeypatch):
+    # counts the deletions of the CLI and of gamma's system builder;
+    # distinguish searches its own sets through separations.delete
+    from omegagraph import components, gamma
+
+    calls = 0
+    delete = components.delete
+
+    def counting_delete(g, X):
+        nonlocal calls
+        calls += 1
+        return delete(g, X)
+
+    monkeypatch.setattr(components, "delete", counting_delete)
+    monkeypatch.setattr(gamma, "delete", counting_delete)
+    for argv, want in (
+        (["limit", SPEC["combo"], "--json", "--family", "{};{core:a};{core:b};{core:a,core:b}"], 4),
+        (["report", SPEC["combo"], "--json", "--horizon", "2"], 10),
+        (["report", SPEC["comb"], "--json", "--horizon", "3"], 7),
+    ):
+        calls = 0
+        code, _, _ = run(capsys, *argv)
+        assert (code, calls) == (0, want), argv

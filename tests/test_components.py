@@ -7,6 +7,7 @@ import pytest
 
 from omegagraph.components import (
     ComponentDescriptor,
+    copy_vertices,
     NotASubsetError,
     NotCriticalError,
     NotNestedError,
@@ -23,7 +24,7 @@ from omegagraph.components import (
 from omegagraph import oracle
 from omegagraph.ids import core, stripv
 from omegagraph.oracle import components_after_deletion, count_by_neighborhood
-from omegagraph.pattern import UnknownVertexError, truncate
+from omegagraph.pattern import UnknownVertexError, to_raw, truncate, validate
 from conftest import FIXTURE_NAMES, random_deletion, random_pattern
 
 
@@ -92,6 +93,91 @@ def test_delete_find_calls_grow_linearly(fixtures, monkeypatch):
         delete(fixtures["comb"], {stripv("s1", t, "p") for t in range(n)})
         counts[n] = calls
     assert counts[400] <= 2.2 * counts[200], counts
+
+
+def test_delete_union_find_size_ignores_period_depth(fixtures, monkeypatch):
+    # clean periods below a deleted strip vertex share one node, so the
+    # union-find holds as many nodes at period 6400 as at period 100
+    sizes = []
+    init = oracle.UnionFind.__init__
+
+    def recording_init(self, items):
+        sizes.append(len(items))
+        init(self, items)
+
+    monkeypatch.setattr(oracle.UnionFind, "__init__", recording_init)
+    for name in ("comb", "combo"):
+        sizes.clear()
+        for P in (100, 6400):
+            delete(fixtures[name], {stripv("s1", P, "p")})
+        assert sizes[0] == sizes[1], (name, sizes)
+        if name == "comb":
+            assert sizes == [3, 3]  # the run below P, the fan family at P, the tail
+
+
+def _with_attachment_above(g, X, strip_id, rng):
+    """g plus a core attachment on strip_id above the deepest period X meets there."""
+    raw = to_raw(g)
+    if not raw["core"]["vertices"]:
+        raw["core"]["vertices"].append("hook")
+    sraw = next(s for s in raw["strips"] if s["id"] == strip_id)
+    deepest = max(v.t for v in X if v.kind in ("strip", "pfan") and v.owner == strip_id)
+    sraw["attachments"].append({
+        "core": rng.choice(raw["core"]["vertices"]),
+        "period": deepest + rng.randint(1, 4),
+        "local": rng.choice(sraw["period"]["vertices"]),
+    })
+    return validate(raw)
+
+
+def _deep_cases(fixtures):
+    graphs = [fixtures[name] for name in FIXTURE_NAMES] + [random_pattern(seed) for seed in range(30)]
+    for i, g in enumerate(graphs):
+        if not g.strips:
+            continue
+        rng = random.Random(4100 + i)
+        s = rng.choice(g.strips)
+        X = random_deletion(g, rng, 3) | {stripv(s.id, rng.randint(15, 40), rng.choice(s.locals))}
+        yield g, X
+        yield _with_attachment_above(g, X, s.id, rng), X
+
+
+def test_deep_deletion_matches_oracle_and_lookups(fixtures):
+    cases = list(_deep_cases(fixtures))
+    assert len(cases) >= 40
+    for g, X in cases:
+        cs = delete(g, X)
+        m = cs.stabilization_bound + 2
+        assert oracle_mismatch(cs, m, m) is None, sorted(map(str, X))
+        piece_of = {v: d.key() for d in cs.descriptors for p in materialize(cs, d, m, m) for v in p}
+        for v in truncate(g, m, m).vertices:
+            if v not in X:
+                assert piece_of[v] == cs.locate(v).key(), (str(v), sorted(map(str, X)))
+        for s in g.strips:
+            # the tail starts right after the last period X meets, whatever is attached above
+            start = max((v.t + 1 for v in X if v.kind in ("strip", "pfan") and v.owner == s.id), default=0)
+            tail = cs.tail_descriptor(s.id)
+            assert TailSeg(s.id, start) in tail.tails
+            assert not any(v.kind == "strip" and v.owner == s.id and v.t >= start for v in tail.vertices)
+            if not s.periodic_fan:
+                continue
+            for t in range(m):
+                h = ("pfan", s.id, t)
+                d = cs.handle_descriptor(h)
+                for k in range(m):
+                    if k not in cs.handle_excluded(h):
+                        assert all(piece_of[v] == d.key() for v in copy_vertices(g, h, k)), (h, k)
+
+
+def test_handle_descriptor_rejects_undeclared_handles(fixtures):
+    cs = delete(fixtures["combo"], {stripv("s1", 3, "p")})
+    for handle in (("fan", "nope"), ("pfan", "s1", -1), ("pfan", "zz", 1)):
+        with pytest.raises(UnknownComponentError):
+            cs.handle_descriptor(handle)
+    assert cs.handle_descriptor(("pfan", "s1", 9)) is cs.tail_descriptor("s1")
+    ray = delete(fixtures["ray"], {stripv("s1", 3, "p")})
+    with pytest.raises(UnknownComponentError):
+        ray.handle_descriptor(("pfan", "s1", 9))
 
 
 def _fresh_key(d):

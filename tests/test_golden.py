@@ -4,7 +4,9 @@ Each fixture runs analyze, report, components, critical, classify,
 limit, check-tangle (where a strip exists), distinguish (where two
 points exist) and export-dot.  The arguments are derived from the
 CLI's own output: the first critical set of ``critical`` and the first
-points of ``report``'s tangles.  Regenerate the digests only when the
+points of ``report``'s tangles.  Every strip also gets deep deletions:
+``components`` and ``limit`` with strip vertices past the first few
+periods, and a periodic-fan copy where the strip has a periodic fan.  Regenerate the digests only when the
 output is meant to change:
 
     PYTHONPATH=src python3 tests/test_golden.py > tests/golden_digests.json
@@ -52,6 +54,13 @@ def cases(name: str) -> list[list[str]]:
     strips = load_fixture(name).strips
     if strips:
         argvs.append(["check-tangle", spec, "--json", "--point", f"end:{strips[0].id}"])
+    for s in strips:
+        l = s.locals[0]
+        argvs.append(["components", spec, "--json", "--delete", f"strip:{s.id}/9/{l}"])
+        argvs.append(["components", spec, "--json", "--delete", f"strip:{s.id}/2/{l},strip:{s.id}/7/{l}"])
+        if s.periodic_fan:
+            argvs.append(["components", spec, "--json", "--delete", f"pfan:{s.id}/9/1/{s.periodic_fan.locals[0]}"])
+        argvs.append(["limit", spec, "--json", "--family", "{};{" + f"strip:{s.id}/6/{l}" + "}"])
     if len(points) >= 2:
         argvs.append(["distinguish", spec, "--json", "--a", points[0], "--b", points[1]])
     argvs.append(["export-dot", spec])
