@@ -360,7 +360,10 @@ class ComponentSystem:
             raise UnknownComponentError(key) from None
 
     def tail_descriptor(self, strip_id: str) -> ComponentDescriptor:
-        return self._tail_desc[strip_id]
+        try:
+            return self._tail_desc[strip_id]
+        except KeyError:
+            raise UnknownComponentError(strip_id) from None
 
     def handle_descriptor(self, handle: Handle) -> ComponentDescriptor:
         """The descriptor whose material includes the copies of handle."""

@@ -199,6 +199,16 @@ def compose(outer: FduMap, inner: FduMap) -> FduMap:
 
 def maps_equal(m1: FduMap, m2: FduMap) -> bool:
     """Extensional equality on all representable points of the source."""
+    return _maps_equal(m1, m2, _membership_rules(m1.src))
+
+
+def _membership_rules(space: FduSpace) -> dict:
+    """{handle: membership_rule} over the handles of space, in handles() order."""
+    return {h: space.membership_rule(h) for h in space.handles()}
+
+
+def _maps_equal(m1: FduMap, m2: FduMap, memberships: dict) -> bool:
+    """maps_equal with the membership rules of m1.src already built."""
     if m1.src != m2.src:
         return False
     for p in m1.src.finite_points():
@@ -207,15 +217,14 @@ def maps_equal(m1: FduMap, m2: FduMap) -> bool:
     for c in m1.src.clusters:
         if m1.apply(limit_point(c.limit)) != m2.apply(limit_point(c.limit)):
             return False
-    for h in m1.src.handles():
+    exceptional = {}  # handle -> copies either map lists as exceptions
+    for m in (m1, m2):
+        for p in m.exceptions:
+            if p[0] == "member":
+                exceptional.setdefault(p[1], set()).add(p[2])
+    for h, membership in memberships.items():
         r1, r2 = m1.handle_rules.get(h), m2.handle_rules.get(h)
-        membership = m1.src.membership_rule(h)
-        probes = {
-            p[2]
-            for m in (m1, m2)
-            for p in m.exceptions
-            if p[0] == "member" and p[1] == h
-        }
+        probes = exceptional.get(h, set())
         if r1 != r2:
             # distinct uniform rules can still agree only on a finite family
             if membership.is_infinite():
@@ -405,10 +414,6 @@ class SystemReport:
         return [e for e in self.entries if not e[2]]
 
 
-def _pair_label(Xs, Xt):
-    return f"{sorted(map(str, Xt))} <= {sorted(map(str, Xs))}"
-
-
 def build_system(g: PatternGraph, family):
     """Component systems and bonding maps over a directed family."""
     sets = _check_directed(family)
@@ -423,47 +428,67 @@ def build_system(g: PatternGraph, family):
 
 
 def verify_system(css: dict, maps: dict) -> SystemReport:
-    """Functoriality, agreement with component bonding, and continuity."""
+    """Functoriality, agreement with component bonding, and continuity.
+
+    Each set's label and condition-(1) probes, each pair's label, the sets
+    above each set and each source space's membership rules are built once
+    per call; each functoriality verdict is compose plus maps_equal.
+    """
     report = SystemReport()
     sets = sorted(css, key=lambda X: (len(X), tuple(sorted(v.sort_key() for v in X))))
-    for (Xs, Xt), m in sorted(maps.items(), key=lambda kv: (_pair_label(*kv[0]))):
-        report.record("continuity", _pair_label(Xs, Xt), is_continuous(m).ok)
+    names = {X: str(sorted(map(str, X))) for X in sets}
+    pair_labels = {(Xs, Xt): f"{names[Xt]} <= {names[Xs]}" for Xs, Xt in maps}
+    for pair in sorted(maps, key=pair_labels.__getitem__):
+        report.record("continuity", pair_labels[pair], is_continuous(maps[pair]).ok)
     # condition (1): the map restricted to embedded components acts by inclusion
+    probes = {X: _condition1_probes(cs) for X, cs in css.items()}
     for (Xs, Xt), m in maps.items():
-        cs_s, cs_t = css[Xs], css[Xt]
+        cs_t = css[Xt]
+        explicit, families = probes[Xs]
         ok = True
         detail = ""
-        for d in cs_s.explicit_descriptors:
-            samples = sorted(d.vertices, key=VertexId.sort_key)[:3]
-            for seg in d.tails:
-                samples.append(stripv(seg.strip, seg.start, min(cs_s.g.strip(seg.strip).locals)))
-            img = m.apply(named_point(d))
+        for d, point, samples in explicit:
+            img = m.apply(point)
             for v in samples:
                 if v in cs_t.X:
                     continue
                 if locate_point(cs_t, v) != img:
                     ok = False
                     detail = f"component {d.key()[0]} probe {v} lands elsewhere"
-        for d in cs_s.family_descriptors:
-            h = d.handle()
-            probe = _probe_vertex(cs_s.g, d)
-            k = probe.k
-            if m.apply(member_point(h, k)) != locate_point(cs_t, probe):
+        for h, probe in families:
+            if m.apply(member_point(h, probe.k)) != locate_point(cs_t, probe):
                 ok = False
-                detail = f"family {h} member {k} disagrees with component inclusion"
-        report.record("condition1", _pair_label(Xs, Xt), ok, detail)
+                detail = f"family {h} member {probe.k} disagrees with component inclusion"
+        report.record("condition1", pair_labels[(Xs, Xt)], ok, detail)
+    above = {X: [Y for Y in sets if X <= Y] for X in sets}
+    memberships = {}  # id of a source space -> its membership rules; maps keeps each space alive
     for Xi in sets:
-        for Xj in sets:
-            for Xk in sets:
-                if Xi <= Xj <= Xk and (Xk, Xj) in maps:
+        for Xj in above[Xi]:
+            for Xk in above[Xj]:
+                if (Xk, Xj) in maps:
                     lhs = maps[(Xk, Xi)]
                     rhs = compose(maps[(Xj, Xi)], maps[(Xk, Xj)])
+                    rules = memberships.get(id(lhs.src))
+                    if rules is None:
+                        rules = memberships[id(lhs.src)] = _membership_rules(lhs.src)
                     report.record(
                         "functoriality",
-                        f"{sorted(map(str, Xi))} <= {sorted(map(str, Xj))} <= {sorted(map(str, Xk))}",
-                        maps_equal(lhs, rhs),
+                        f"{names[Xi]} <= {names[Xj]} <= {names[Xk]}",
+                        _maps_equal(lhs, rhs, rules),
                     )
     return report
+
+
+def _condition1_probes(cs: ComponentSystem):
+    """Sample vertices of each explicit component and the probe copy of each family."""
+    explicit = []
+    for d in cs.explicit_descriptors:
+        samples = sorted(d.vertices, key=VertexId.sort_key)[:3]
+        for seg in d.tails:
+            samples.append(stripv(seg.strip, seg.start, min(cs.g.strip(seg.strip).locals)))
+        explicit.append((d, named_point(d), samples))
+    families = [(d.handle(), _probe_vertex(cs.g, d)) for d in cs.family_descriptors]
+    return explicit, families
 
 
 def check_inverse_system(g: PatternGraph, family) -> SystemReport:

@@ -180,6 +180,14 @@ def test_handle_descriptor_rejects_undeclared_handles(fixtures):
         ray.handle_descriptor(("pfan", "s1", 9))
 
 
+def test_tail_descriptor_rejects_undeclared_strips(fixtures):
+    cs = delete(fixtures["combo"], set())
+    with pytest.raises(UnknownComponentError) as err:
+        cs.tail_descriptor("zz")
+    assert err.value.args == ("zz",)
+    assert cs.tail_descriptor("s1").tails[0].strip == "s1"
+
+
 def _fresh_key(d):
     return (
         d.kind,

@@ -29,7 +29,8 @@ from omegagraph.gamma import (
     verify_system,
 )
 from omegagraph import gamma
-from omegagraph.ids import core, parse_vertex, stripv
+from omegagraph.components import _probe_vertex
+from omegagraph.ids import VertexId, core, parse_vertex, stripv
 from omegagraph.separations import FamilyRule, all_points, crit_point, end_point, distinguish
 from conftest import FIXTURE_NAMES, random_deletion, random_pattern
 
@@ -350,6 +351,27 @@ def test_compose_chain_matches_direct(fixtures):
 # ---------------------------------------------------------------------------
 # map predicates on finite families
 
+def test_maps_equal_probes_exceptions_on_every_handle():
+    h1, h2 = ("fan", "f1"), ("fan", "f2")
+    A, B = ("named", "A"), ("named", "B")
+    finite = FamilyRule("false", frozenset({0, 1}))
+    src = FduSpace(clusters=(Cluster("L", (), ((h1, finite), (h2, finite))),))
+    dst = FduSpace(isolated=(A, B))
+
+    def const_a(exceptions):
+        rules = {h1: ("const", A), h2: ("const", A)}
+        return gamma.FduMap(src, dst, dict(exceptions), rules, {"L": A})
+
+    # m1's only exception sits on h1 and agrees with the rule; m2's sits on h2 and does not
+    m1 = const_a({member_point(h1, 0): A})
+    m2 = const_a({member_point(h2, 1): B})
+    assert not maps_equal(m1, m2) and not maps_equal(m2, m1)
+    both = const_a({member_point(h1, 0): A, member_point(h2, 1): A})
+    assert maps_equal(m1, both) and maps_equal(both, const_a({}))
+    # an exception on a copy outside the finite family is not a point of the source
+    assert maps_equal(const_a({member_point(h2, 5): B}), m1)
+
+
 def test_maps_equal_probes_members_of_finite_family():
     h = ("fan", "f1")
     A, B = ("named", "A"), ("named", "B")
@@ -384,7 +406,9 @@ def test_is_surjective_const_image_needs_a_preimage():
 # ---------------------------------------------------------------------------
 # each space and map built once, against the per-pair public bonding_f
 
-POWER_SET_POOL = [parse_vertex(t) for t in ("core:a", "core:b", "core:d", "strip:s1/0/p", "strip:s1/1/p")]
+POWER_SET_POOL = [
+    parse_vertex(t) for t in ("core:a", "core:b", "core:d", "strip:s1/0/p", "strip:s1/1/p", "strip:s1/2/p")
+]
 
 
 def _power_set(n):
@@ -467,3 +491,117 @@ def test_limit_points_builds_maps_once_per_call(fixtures, monkeypatch):
         counts[horizon] = (calls, len(pts))
     assert counts[1][0] == counts[3][0] == 3 ** 3, counts
     assert counts[1][1] < counts[3][1], counts
+
+
+# ---------------------------------------------------------------------------
+# verify_system against the per-entry loop it replaced
+
+def _reference_pair_label(Xs, Xt):
+    return f"{sorted(map(str, Xt))} <= {sorted(map(str, Xs))}"
+
+
+def _reference_verify_system(css, maps):
+    """verify_system as it was: a sets**3 scan, public maps_equal, labels per entry."""
+    report = gamma.SystemReport()
+    sets = sorted(css, key=lambda X: (len(X), tuple(sorted(v.sort_key() for v in X))))
+    for (Xs, Xt), m in sorted(maps.items(), key=lambda kv: (_reference_pair_label(*kv[0]))):
+        report.record("continuity", _reference_pair_label(Xs, Xt), is_continuous(m).ok)
+    # condition (1): the map restricted to embedded components acts by inclusion
+    for (Xs, Xt), m in maps.items():
+        cs_s, cs_t = css[Xs], css[Xt]
+        ok = True
+        detail = ""
+        for d in cs_s.explicit_descriptors:
+            samples = sorted(d.vertices, key=VertexId.sort_key)[:3]
+            for seg in d.tails:
+                samples.append(stripv(seg.strip, seg.start, min(cs_s.g.strip(seg.strip).locals)))
+            img = m.apply(named_point(d))
+            for v in samples:
+                if v in cs_t.X:
+                    continue
+                if gamma.locate_point(cs_t, v) != img:
+                    ok = False
+                    detail = f"component {d.key()[0]} probe {v} lands elsewhere"
+        for d in cs_s.family_descriptors:
+            h = d.handle()
+            probe = _probe_vertex(cs_s.g, d)
+            k = probe.k
+            if m.apply(member_point(h, k)) != gamma.locate_point(cs_t, probe):
+                ok = False
+                detail = f"family {h} member {k} disagrees with component inclusion"
+        report.record("condition1", _reference_pair_label(Xs, Xt), ok, detail)
+    for Xi in sets:
+        for Xj in sets:
+            for Xk in sets:
+                if Xi <= Xj <= Xk and (Xk, Xj) in maps:
+                    lhs = maps[(Xk, Xi)]
+                    rhs = compose(maps[(Xj, Xi)], maps[(Xk, Xj)])
+                    report.record(
+                        "functoriality",
+                        f"{sorted(map(str, Xi))} <= {sorted(map(str, Xj))} <= {sorted(map(str, Xk))}",
+                        maps_equal(lhs, rhs),
+                    )
+    return report
+
+
+def _inject_faults(maps):
+    """Swap two exception images in one map and make one identity rule const in another."""
+    injected = 0
+    for m in maps.values():
+        first = next(iter(m.exceptions), None)
+        other = next((p for p in m.exceptions if m.exceptions[p] != m.exceptions[first]), None)
+        if other is not None:
+            m.exceptions[first], m.exceptions[other] = m.exceptions[other], m.exceptions[first]
+            injected += 1
+            break
+    for m in reversed(maps.values()):
+        h = next((h for h, rule in m.handle_rules.items() if rule[0] == "identity"), None)
+        if h is not None and m.dst.finite_points():
+            m.handle_rules[h] = ("const", m.dst.finite_points()[0])
+            injected += 1
+            break
+    return injected
+
+
+def test_verify_system_matches_reference_loop(fixtures):
+    # the n = 6 system is compared unfaulted only, to keep the test near 1 s
+    cases = [("combo", fixtures["combo"], _power_set(n), n < 6) for n in (3, 4, 5, 6)]
+    cases += [(name, g, family, True) for name, g, family in _directed_families(fixtures)]
+    failing_kinds = {}
+    for name, g, family, fault in cases:
+        css, maps = build_system(g, family)
+        got = verify_system(css, maps).entries
+        assert got == _reference_verify_system(css, maps).entries, (name, len(family))
+        assert all(ok for _, _, ok, _ in got), name
+        # the families drawn for star, ray, comb, domray and thetafan leave nothing to fault
+        if fault and _inject_faults(maps):
+            got = verify_system(css, maps).entries
+            want = _reference_verify_system(css, maps).entries
+            assert len(got) == len(want)
+            for i, (a, b) in enumerate(zip(got, want)):
+                assert a == b, (name, len(family), i)
+            failing_kinds[(name, len(family))] = {(c, bool(d)) for c, _, ok, d in got if not ok}
+    want_kinds = {("continuity", False), ("condition1", True), ("functoriality", False)}
+    assert failing_kinds == dict.fromkeys([("combo", 8), ("combo", 16), ("combo", 32), ("combo", 4)], want_kinds)
+
+
+def test_verify_system_builds_membership_rules_once_per_set(fixtures, monkeypatch):
+    css, maps = build_system(fixtures["combo"], _power_set(5))
+    spaces = {Xs: m.src for (Xs, _), m in maps.items()}
+    want = sum(len(space.handles()) for space in spaces.values())
+    counts = {"membership_rule": 0, "compose": 0}
+    membership_rule, compose_ = FduSpace.membership_rule, gamma.compose
+
+    def counting_membership_rule(self, handle):
+        counts["membership_rule"] += 1
+        return membership_rule(self, handle)
+
+    def counting_compose(outer, inner):
+        counts["compose"] += 1
+        return compose_(outer, inner)
+
+    monkeypatch.setattr(FduSpace, "membership_rule", counting_membership_rule)
+    monkeypatch.setattr(gamma, "compose", counting_compose)
+    assert verify_system(css, maps).ok
+    # 40 here; once per handle of each chain's source would be 2,112
+    assert counts == {"membership_rule": want, "compose": 4 ** 5}, (counts, want)
