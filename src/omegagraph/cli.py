@@ -96,9 +96,11 @@ def _parse_point(g: PatternGraph, token: str):
         g.strip(sid)
         return _separations.end_point(sid)
     if token.startswith("crit:{") and token.endswith("}"):
-        inner = token[len("crit:{"):-1]
-        vs = [parse_vertex(t.strip()) for t in inner.split(",") if t.strip()]
-        return _separations.crit_point(g, vs)
+        vs = _parse_vertices(g, token[len("crit:{"):-1])
+        try:
+            return _separations.crit_point(g, vs)
+        except _components.NotCriticalError as exc:
+            raise CliError(f"NotCritical: {exc}") from None
     raise CliError(f"bad point token {token!r}; use end:s1 or crit:{{core:a,core:b}}")
 
 
@@ -415,9 +417,13 @@ def _point_json(pt, cs) -> str:
 def _cmd_check_tangle(args) -> int:
     g = _load(args.spec)
     xi = _parse_point(g, args.point)
-    if not args.seps.startswith("auto:"):
-        raise CliError("only --seps auto:<max base size> is supported")
-    max_base = int(args.seps.split(":", 1)[1])
+    kind, _, size = args.seps.partition(":")
+    try:
+        max_base = int(size) if kind == "auto" else -1
+    except ValueError:
+        max_base = -1
+    if max_base < 0:
+        raise CliError(f"BadSeps({args.seps!r}): use auto:<max base size>, a non-negative integer")
     seps = _enumerate_seps(g, max_base, args.horizon)
     out = _tangle_json(g, xi, seps, max_base, args.horizon)
     _emit(out, args)

@@ -5,16 +5,22 @@ of the components of G - X; its sides are A = X u V[side] and
 B = X u V[complement].  Symbolic subsets assign an in/out bit to every
 explicit component and an index rule to every infinite family:
 "all-but-finitely-many" rules keep everything decidable, and a parity
-rule serves as the one deliberately non-tame escape hatch.
+rule serves as the one deliberately non-tame escape hatch.  A subset
+computes its key, and a separation its identity and tameness, when it
+is built.
 
 Points of the limit space (ends and critical vertex sets) orient tame
 separations through their induced filters; ``check_tangle`` verifies
-consistency and the absence of finite-interior stars.
+consistency and the absence of finite-interior stars.  It compares the
+sides as bitsets over a per-call box of representative vertices, filled
+from each side's description, and runs the star search on the same ints.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass, field
 
 from .ids import VertexId, core, fanv, pfanv, stripv
@@ -25,7 +31,6 @@ from .components import (
     Handle,
     InvariantError,
     NotCriticalError,
-    copy_vertices,
     delete,
     handle_sort_key,
     is_critical,
@@ -34,10 +39,6 @@ from .components import (
 
 
 class BaseMismatchError(ValueError):
-    pass
-
-
-class NotAStarError(ValueError):
     pass
 
 
@@ -147,6 +148,11 @@ def rule_singletons(ks) -> FamilyRule:
 # ---------------------------------------------------------------------------
 # Symbolic subsets of C_X
 
+def _same_base(cs: ComponentSystem, other: ComponentSystem) -> bool:
+    """Do the two systems delete the same X from the same graph?"""
+    return cs is other or (cs.X == other.X and (cs.g is other.g or cs.g == other.g))
+
+
 class SymbolicSubset:
     """A subset of the components of G - X, given by bits and index rules."""
 
@@ -157,9 +163,14 @@ class SymbolicSubset:
             raise InvariantError("unknown explicit component")
         self.rules: dict[Handle, FamilyRule] = {}
         for d in cs.family_descriptors:
-            h = d.handle()
+            h, excl = d.handle(), d.excluded()
             raw = (rules or {}).get(h, RULE_FALSE)
-            self.rules[h] = rule_and(raw, FamilyRule("true", d.excluded()))
+            self.rules[h] = rule_and(raw, FamilyRule("true", excl)) if excl else raw
+        # family descriptors, and so the rules, come in handle_sort_key order
+        self._key = (
+            tuple(sorted(self.explicit_in)),
+            tuple((h, r.key()) for h, r in self.rules.items()),
+        )
 
     # construction helpers
     @staticmethod
@@ -185,7 +196,7 @@ class SymbolicSubset:
         )
 
     def _check_base(self, other: "SymbolicSubset"):
-        if self.cs.X != other.cs.X or self.cs.g != other.cs.g:
+        if not _same_base(self.cs, other.cs):
             raise BaseMismatchError("subsets live over different deletions")
 
     def complement(self) -> "SymbolicSubset":
@@ -243,13 +254,10 @@ class SymbolicSubset:
         return any(self.rules[d.handle()].is_infinite() for d in fam.families)
 
     def key(self):
-        return (
-            tuple(sorted(self.explicit_in)),
-            tuple((h, self.rules[h].key()) for h in sorted(self.rules, key=handle_sort_key)),
-        )
+        return self._key
 
     def __eq__(self, other):
-        return isinstance(other, SymbolicSubset) and self.cs.X == other.cs.X and self.key() == other.key()
+        return isinstance(other, SymbolicSubset) and self._key == other._key and _same_base(self.cs, other.cs)
 
     def __hash__(self):
         return hash(self.key())
@@ -260,7 +268,11 @@ class SymbolicSubset:
 
 @dataclass
 class SymbolicVertexSet:
-    """A vertex set given by a finite part, strip tails, and whole copies."""
+    """A vertex set given by a finite part, strip tails, and whole copies.
+
+    ``contains`` defines membership; ``_Box.bits`` encodes the same set as
+    an int over one call's box of representative vertices.
+    """
 
     g: PatternGraph
     finite: frozenset = frozenset()
@@ -281,94 +293,6 @@ class SymbolicVertexSet:
             return bool(r and r(v.k))
         return False
 
-    def cover_rule(self, handle: Handle) -> FamilyRule:
-        """Rule-level approximation of {k : copy k fully covered}."""
-        if self.is_all:
-            return RULE_TRUE
-        if handle[0] == "pfan" and handle[1] in self.tails and handle[2] >= self.tails[handle[1]]:
-            return RULE_TRUE
-        return self.copies.get(handle, RULE_FALSE)
-
-    def covers_copy(self, handle: Handle, k: int) -> bool:
-        if self.cover_rule(handle)(k):
-            return True
-        return all(self.contains(v) for v in copy_vertices(self.g, handle, k))
-
-    def covers_tail(self, strip_id: str, start: int) -> bool:
-        """Does the set contain all strip material from period start on?"""
-        if self.is_all:
-            return True
-        if strip_id not in self.tails:
-            return False
-        own = self.tails[strip_id]
-        if own <= start:
-            return True
-        s = self.g.strip(strip_id)
-        for t in range(start, own):
-            if not all(self.contains(stripv(strip_id, t, l)) for l in s.locals):
-                return False
-            if s.periodic_fan and not self._covers_all_copies(("pfan", strip_id, t)):
-                return False
-        return True
-
-    def _covers_all_copies(self, handle: Handle) -> bool:
-        r = self.cover_rule(handle)
-        if r.is_cofinite():
-            return all(self.covers_copy(handle, k) for k in r.negate().members())
-        return False
-
-    def subseteq(self, other: "SymbolicVertexSet") -> bool:
-        if other.is_all:
-            return True
-        if self.is_all:
-            return False  # a proper side never covers all of an infinite graph
-        for v in self.finite:
-            if not other.contains(v):
-                return False
-        for s, start in self.tails.items():
-            if not other.covers_tail(s, start):
-                return False
-        for h, r in self.copies.items():
-            gap = rule_and(r, other.cover_rule(h).negate())
-            if gap.is_infinite():
-                return False
-            if not all(other.covers_copy(h, k) for k in gap.members()):
-                return False
-        return True
-
-    def intersect(self, other: "SymbolicVertexSet") -> "SymbolicVertexSet":
-        if self.is_all:
-            return other
-        if other.is_all:
-            return self
-        fin = {v for v in self.finite if other.contains(v)}
-        fin |= {v for v in other.finite if self.contains(v)}
-        tails = {
-            s: max(t, other.tails[s]) for s, t in self.tails.items() if s in other.tails
-        }
-        copies = {}
-        for h in set(self.copies) | set(other.copies):
-            r = rule_and(self.cover_rule(h), other.cover_rule(h))
-            if not r.is_empty():
-                copies[h] = r
-        return SymbolicVertexSet(self.g, frozenset(fin), tails, copies)
-
-    def is_finite(self) -> bool:
-        if self.is_all:
-            return self.g.is_finite()
-        return not self.tails and all(r.is_finite() for r in self.copies.values())
-
-    def materialize_finite(self) -> frozenset:
-        if not self.is_finite():
-            raise InvariantError("an infinite vertex set cannot be materialized")
-        if self.is_all:
-            return frozenset(core(c) for c in self.g.core_vertices)
-        out = set(self.finite)
-        for h, r in self.copies.items():
-            for k in r.members():
-                out |= copy_vertices(self.g, h, k)
-        return frozenset(out)
-
 
 def _subset_vertex_set(cs: ComponentSystem, subset: SymbolicSubset, rest: SymbolicSubset) -> SymbolicVertexSet:
     """X together with all vertices of the subset's components; rest is its complement."""
@@ -386,7 +310,7 @@ def _subset_vertex_set(cs: ComponentSystem, subset: SymbolicSubset, rest: Symbol
             copies[h] = FamilyRule("true", excl)
     for h, r in subset.rules.items():
         if not r.is_empty():
-            copies[h] = rule_or(copies.get(h, RULE_FALSE), r)
+            copies[h] = rule_or(copies[h], r) if h in copies else r
     return SymbolicVertexSet(cs.g, frozenset(fin), tails, copies)
 
 
@@ -394,14 +318,26 @@ def _subset_vertex_set(cs: ComponentSystem, subset: SymbolicSubset, rest: Symbol
 # Separations and orientations
 
 class Separation:
-    """Unoriented separation {X u V[side], X u V[co-side]}."""
+    """Unoriented separation {X u V[side], X u V[co-side]}.
+
+    Its identity (``underlying_key``) and whether it is tame are decided
+    when it is built; only its side vertex sets are filled on demand.
+    """
 
     def __init__(self, cs: ComponentSystem, side: SymbolicSubset):
-        if side.cs is not cs and side.cs.X != cs.X:
+        if not _same_base(side.cs, cs):
             raise InvariantError("the side lives over another deletion")
         self.cs = cs
         self.side = side
-        self.co_side = side.complement()
+        self.co_side = co_side = side.complement()
+        self._underlying_key = (
+            tuple(sorted(v.sort_key() for v in cs.X)),
+            frozenset((side.key(), co_side.key())),
+        )
+        # tame: no critical family is split into two infinite halves
+        self._tame = not any(
+            side.has_infinite_part_on(Y) and co_side.has_infinite_part_on(Y) for Y in cs.crit()
+        )
         self._svs_cache: dict = {}
 
     def side_set(self, of_side: bool) -> "SymbolicVertexSet":
@@ -412,28 +348,29 @@ class Separation:
         return self._svs_cache[of_side]
 
     def underlying_key(self):
-        return (
-            tuple(sorted(v.sort_key() for v in self.cs.X)),
-            frozenset((self.side.key(), self.co_side.key())),
-        )
+        return self._underlying_key
 
     def orient(self, toward_side: bool) -> "OrientedSeparation":
         return OrientedSeparation(self, toward_side)
 
     def is_tame(self) -> bool:
-        return is_tame(self)
+        return self._tame
 
     def __eq__(self, other):
-        return isinstance(other, Separation) and self.underlying_key() == other.underlying_key()
+        return isinstance(other, Separation) and self._underlying_key == other._underlying_key
 
     def __hash__(self):
-        return hash(self.underlying_key())
+        return hash(self._underlying_key)
 
 
 @dataclass(frozen=True)
 class OrientedSeparation:
     sep: Separation
     toward_side: bool  # big side is X u V[side] if True
+
+    def __post_init__(self):
+        # computed once; an attribute, not a field, so ==, hash and repr ignore it
+        object.__setattr__(self, "_key", (self.sep.underlying_key(), self.big_subset().key()))
 
     def big_subset(self) -> SymbolicSubset:
         return self.sep.side if self.toward_side else self.sep.co_side
@@ -448,13 +385,13 @@ class OrientedSeparation:
         return OrientedSeparation(self.sep, not self.toward_side)
 
     def key(self):
-        return (self.sep.underlying_key(), self.big_subset().key())
+        return self._key
 
     def __eq__(self, other):
-        return isinstance(other, OrientedSeparation) and self.key() == other.key()
+        return isinstance(other, OrientedSeparation) and self._key == other._key
 
     def __hash__(self):
-        return hash(self.key())
+        return hash(self._key)
 
 
 def toward_components(cs: ComponentSystem, subset: SymbolicSubset) -> OrientedSeparation:
@@ -465,15 +402,6 @@ def toward_components(cs: ComponentSystem, subset: SymbolicSubset) -> OrientedSe
 def away_from_components(cs: ComponentSystem, subset: SymbolicSubset) -> OrientedSeparation:
     """s_{C -> X}: points away from the given components."""
     return Separation(cs, subset).orient(False)
-
-
-def le(o1: OrientedSeparation, o2: OrientedSeparation) -> bool:
-    """(A,B) <= (C,D)  iff  A is inside C and B contains D."""
-    return o1.small_set().subseteq(o2.small_set()) and o2.big_set().subseteq(o1.big_set())
-
-
-def lt(o1: OrientedSeparation, o2: OrientedSeparation) -> bool:
-    return le(o1, o2) and not le(o2, o1)
 
 
 class Orientation:
@@ -496,37 +424,8 @@ class Orientation:
         return len(self.members)
 
 
-def is_star(sigma) -> bool:
-    """Pairwise pointing towards each other."""
-    ms = list(sigma)
-    for p, q in itertools.permutations(ms, 2):
-        if not le(p, q.reverse()):
-            return False
-    return True
-
-
-def interior(sigma) -> SymbolicVertexSet:
-    """Intersection of the big sides of a star."""
-    ms = list(sigma)
-    if not ms:
-        raise NotAStarError("empty star has no ambient graph; use interior_of(g, [])")
-    if not is_star(ms):
-        raise NotAStarError("interior is only defined for stars")
-    out = ms[0].big_set()
-    for m in ms[1:]:
-        out = out.intersect(m.big_set())
-    return out
-
-
-def interior_of(g: PatternGraph, sigma) -> SymbolicVertexSet:
-    ms = list(sigma)
-    if not ms:
-        return SymbolicVertexSet(g, is_all=True)
-    return interior(ms)
-
-
-def _side_bits(g: PatternGraph, sides) -> list[int]:
-    """Each side as an int whose bit i says whether the side holds box vertex i.
+class _Box:
+    """Bit positions for the representative vertices of one call's sides.
 
     The box takes every period up to T and every copy up to K + 1, where T
     exceeds every period and K every copy index that some side names (in its
@@ -534,44 +433,102 @@ def _side_bits(g: PatternGraph, sides) -> list[int]:
     vertex outside the box lies in exactly the sides that hold its
     representative inside: a strip or periodic-fan vertex at a period beyond
     T lies in a side iff the side has that strip's tail, like its period-T
-    counterpart, and a copy beyond K + 1 lies in it iff the side's rule holds
-    there, which beyond K depends only on the parity of the copy, like copy K
-    or K + 1.  So one side lies inside another iff ``a & ~b == 0``, exactly,
-    for tame and parity rules alike.  The box lives for one call only.
+    counterpart, and a copy beyond K + 1 lies in it iff the side's rule
+    holds there, which beyond K depends only on the parity of the copy, like
+    copy K or K + 1.  So one side lies inside another iff ``a & ~b == 0``,
+    exactly, for tame and parity rules alike, and a side is infinite iff it
+    meets ``beyond``: period T, or copy K or K + 1 of some family.
+
+    A side's int is filled from its description (``bits``), not vertex by
+    vertex: its finite part's bits, one suffix mask per tail and one mask
+    per rule, which is the rule's base mask with its flipped copies toggled.
     """
-    periods = [0]
-    copies = [0]
-    for svs in sides:
+
+    def __init__(self, g: PatternGraph, sides):
+        periods = [0]
+        copies = [0]
+        for svs in sides:
+            for v in svs.finite:
+                periods.append(v.t)
+                copies.append(v.k)
+            periods.extend(svs.tails.values())
+            for h, r in svs.copies.items():
+                if h[0] == "pfan":
+                    periods.append(h[2])
+                copies.extend(r.flips)
+        T, K = max(periods) + 1, max(copies) + 1
+        self.T, self.K = T, K
+        self.bit: dict[VertexId, int] = {}
+        self.tail: dict[str, list[int]] = {}  # strip id -> mask of periods t..T, per start t
+        self.copy: dict[Handle, list[int]] = {}  # handle -> mask of each copy 0..K+1
+        self._place([core(c) for c in g.core_vertices])
+        for s in g.strips:
+            period_masks = []
+            for t in range(T + 1):
+                mask = self._place([stripv(s.id, t, l) for l in s.locals])
+                if s.periodic_fan:
+                    mask |= self._family(("pfan", s.id, t), s.periodic_fan.locals, functools.partial(pfanv, s.id, t))
+                period_masks.append(mask)
+            self.tail[s.id] = list(itertools.accumulate(reversed(period_masks), operator.or_))[::-1]
+        for f in g.fans:
+            self._family(("fan", f.id), f.locals, functools.partial(fanv, f.id))
+        self.everything = (1 << len(self.bit)) - 1
+        # masks of disjoint bits: their sum is their union
+        self.base = {
+            h: {"false": 0, "true": sum(ms), "even": sum(ms[0::2]), "odd": sum(ms[1::2])}
+            for h, ms in self.copy.items()
+        }
+        self.beyond = sum(self.tail_feature(s.id) for s in g.strips) | sum(map(self.family_feature, self.copy))
+
+    def _place(self, vertices: list) -> int:
+        """Give the vertices the next free bits; returns their mask."""
+        n = len(self.bit)
+        self.bit.update((v, 1 << (n + i)) for i, v in enumerate(vertices))
+        return ((1 << len(vertices)) - 1) << n
+
+    def _family(self, handle: Handle, locals_, vertex) -> int:
+        """Bits for copies 0..K+1 of a family, whose vertices are vertex(k, local)."""
+        self.copy[handle] = [self._place([vertex(k, l) for l in locals_]) for k in range(self.K + 2)]
+        return sum(self.copy[handle])
+
+    def tail_feature(self, strip_id: str) -> int:
+        """Period T of the strip: a side meets it iff it holds the strip's tail."""
+        return self.tail[strip_id][self.T]
+
+    def family_feature(self, handle: Handle) -> int:
+        """Copies K and K + 1: a tame side meets them iff it holds infinitely many copies."""
+        copies = self.copy[handle]
+        return copies[self.K] | copies[self.K + 1]
+
+    def bits(self, svs: SymbolicVertexSet) -> int:
+        """The side as an int whose bit i says whether it holds box vertex i."""
+        if svs.is_all:
+            return self.everything
+        out = 0
         for v in svs.finite:
-            periods.append(v.t)
-            copies.append(v.k)
-        periods.extend(svs.tails.values())
+            out |= self.bit[v]
+        for s, start in svs.tails.items():
+            out |= self.tail[s][start]
         for h, r in svs.copies.items():
-            if h[0] == "pfan":
-                periods.append(h[2])
-            copies.extend(r.flips)
-    T, K = max(periods) + 1, max(copies) + 1
-    box = [core(c) for c in g.core_vertices]
-    for s in g.strips:
-        for t in range(T + 1):
-            box.extend(stripv(s.id, t, l) for l in s.locals)
-            if s.periodic_fan:
-                box.extend(pfanv(s.id, t, k, l) for k in range(K + 2) for l in s.periodic_fan.locals)
-    for f in g.fans:
-        box.extend(fanv(f.id, k, l) for k in range(K + 2) for l in f.locals)
-    everything = (1 << len(box)) - 1
-    return [
-        everything if svs.is_all else sum(1 << i for i, v in enumerate(box) if svs.contains(v))
-        for svs in sides
-    ]
+            mask, copies = self.base[h][r.base], self.copy[h]
+            for k in r.flips:
+                mask ^= copies[k]
+            out |= mask
+        return out
 
 
-def _orientation_bits(ms) -> tuple[list[int], list[int]]:
-    """Small and big sides of each member, over one box."""
-    if not ms:
-        return [], []
-    bits = _side_bits(ms[0].sep.cs.g, [m.small_set() for m in ms] + [m.big_set() for m in ms])
-    return bits[: len(ms)], bits[len(ms):]
+def _side_bits(g: PatternGraph, sides: list[SymbolicVertexSet]) -> list[int]:
+    """Each side as an int over one box (see ``_Box``), which lives for this call only."""
+    box = _Box(g, sides)
+    return [box.bits(svs) for svs in sides]
+
+
+def _orientation_bits(ms, g: PatternGraph) -> tuple[_Box, list[int], list[int]]:
+    """One box over the members' sides, and their small and big sides over it."""
+    sides = [m.small_set() for m in ms] + [m.big_set() for m in ms]
+    box = _Box(g, sides)
+    bits = [box.bits(svs) for svs in sides]
+    return box, bits[: len(ms)], bits[len(ms):]
 
 
 def _first_violation(smalls: list[int], bigs: list[int]):
@@ -579,12 +536,29 @@ def _first_violation(smalls: list[int], bigs: list[int]):
 
     reverse(i) <= j iff big_i is inside small_j and big_j inside small_i;
     j <= reverse(i) iff small_j is inside big_i and small_i inside big_j.
+    The members j whose small side holds big_i are found as an int over
+    members: the AND, over the vertices of big_i, of the members holding
+    that vertex in their small side.
     """
-    not_smalls = [~s for s in smalls]
+    holders: dict[int, int] = {}  # vertex bit -> members whose small side holds it
+    for j, small in enumerate(smalls):
+        while small:
+            low = small & -small
+            holders[low] = holders.get(low, 0) | 1 << j
+            small ^= low
+    everyone = (1 << len(smalls)) - 1
     for i, big_i in enumerate(bigs):
-        not_small_i, not_big_i = not_smalls[i], ~big_i
-        for j in [j for j, not_small_j in enumerate(not_smalls) if not big_i & not_small_j]:
-            if j == i or bigs[j] & not_small_i:
+        within, rest = everyone & ~(1 << i), big_i
+        while rest and within:
+            low = rest & -rest
+            within &= holders.get(low, 0)
+            rest ^= low
+        not_small_i, not_big_i = ~smalls[i], ~big_i
+        while within:
+            low = within & -within
+            within ^= low
+            j = low.bit_length() - 1
+            if bigs[j] & not_small_i:
                 continue
             if smalls[j] & not_big_i or smalls[i] & ~bigs[j]:
                 return i, j
@@ -594,7 +568,10 @@ def _first_violation(smalls: list[int], bigs: list[int]):
 def is_consistent(o):
     """True, or a witnessing pair (p, q) with reverse(p) < q."""
     ms = list(o)
-    pair = _first_violation(*_orientation_bits(ms))
+    if not ms:
+        return True, None
+    _, smalls, bigs = _orientation_bits(ms, ms[0].sep.cs.g)
+    pair = _first_violation(smalls, bigs)
     if pair is None:
         return True, None
     return False, (ms[pair[0]], ms[pair[1]])
@@ -602,11 +579,7 @@ def is_consistent(o):
 
 def is_tame(sep: Separation) -> bool:
     """No critical family is split into two infinite halves."""
-    cs = sep.cs
-    for Y in cs.crit():
-        if sep.side.has_infinite_part_on(Y) and sep.co_side.has_infinite_part_on(Y):
-            return False
-    return True
+    return sep.is_tame()
 
 
 # ---------------------------------------------------------------------------
@@ -685,29 +658,6 @@ class TangleVerdict:
         return self.ok
 
 
-def _infinite_features(svs: SymbolicVertexSet, g: PatternGraph) -> list:
-    """The reasons a symbolic vertex set is infinite."""
-    if svs.is_all:
-        return [("tail", s.id) for s in g.strips] + [("handle", ("fan", f.id)) for f in g.fans]
-    feats = [("tail", s) for s in sorted(svs.tails)]
-    for h in sorted(svs.copies, key=handle_sort_key):
-        rule = svs.copies[h]
-        if rule.base not in ("true", "false"):
-            raise InvariantError("tame sides carry no parity rules")
-        if rule.is_infinite():
-            feats.append(("handle", h))
-    return feats
-
-
-def _kills(big: SymbolicVertexSet, feat) -> bool:
-    """Does intersecting with this big side make the feature finite?"""
-    if big.is_all:
-        return False
-    if feat[0] == "tail":
-        return feat[1] not in big.tails
-    return big.cover_rule(feat[1]).is_finite()
-
-
 def check_tangle(o, g: PatternGraph | None = None) -> TangleVerdict:
     """Consistency plus avoidance of finite stars with finite interior.
 
@@ -717,8 +667,10 @@ def check_tangle(o, g: PatternGraph | None = None) -> TangleVerdict:
     be removed by a single member pointing away from it.  The search
     adds one such killer per level, so its depth is bounded by the
     number of features; branching is worst-case exponential in that
-    small number.  Consistency and the pairs that may share a star are
-    decided on the sides' bitsets (``_side_bits``).
+    small number.  All of it runs on the sides' ints over one ``_Box``:
+    an interior is the AND of its members' big sides and is finite iff
+    it misses ``beyond``, a feature is the beyond bits of one strip or
+    family, and its killers are the members whose big side lacks them.
     """
     ms = list(o)
     if g is None and ms:
@@ -726,13 +678,12 @@ def check_tangle(o, g: PatternGraph | None = None) -> TangleVerdict:
     for m in ms:
         if not is_tame(m.sep):
             raise NotTameError("check_tangle expects tame separations only")
-    small_bits, big_bits = _orientation_bits(ms)
+    box, small_bits, big_bits = _orientation_bits(ms, g)
     pair = _first_violation(small_bits, big_bits)
     if pair is not None:
         return TangleVerdict(False, violation=(ms[pair[0]], ms[pair[1]]))
-    if g is not None and interior_of(g, []).is_finite():
+    if not box.beyond:
         return TangleVerdict(False, star=())
-    bigs = [m.big_set() for m in ms]
     neighbor_memo: dict[int, set] = {}
 
     def neighbors(i: int) -> set:
@@ -746,19 +697,31 @@ def check_tangle(o, g: PatternGraph | None = None) -> TangleVerdict:
             }
         return neighbor_memo[i]
 
-    def search(inner: SymbolicVertexSet, candidates: set, clique: tuple):
-        if inner.is_finite():
+    # The features of the whole graph are its strips and core fans, in the
+    # graph's order.  Below the root they are the strips, sorted by id, and
+    # the families some member of the star names in its big side's copies,
+    # by handle_sort_key; a family under a tail that no member names is
+    # that tail's feature.  ``allowed`` marks the features a star may have.
+    copies = [m.big_set().copies for m in ms]
+    handles = sorted({h for named in copies for h in named}, key=handle_sort_key)
+    strips = sorted(s.id for s in g.strips)
+    feats = [box.tail_feature(s) for s in strips] + [box.family_feature(h) for h in handles]
+    index = {h: len(strips) + n for n, h in enumerate(handles)}
+    names = [sum(1 << index[h] for h in named) for named in copies]
+    root = [box.tail_feature(s.id) for s in g.strips] + [box.family_feature(("fan", f.id)) for f in g.fans]
+
+    def search(inner: int, candidates: set, clique: tuple, allowed: int):
+        if not inner & box.beyond:
             return clique
-        feats = _infinite_features(inner, g)
-        options = [(feat, [i for i in candidates if _kills(bigs[i], feat)]) for feat in feats]
-        feat, killers = min(options, key=lambda fk: len(fk[1]))
+        here = [b for n, b in enumerate(feats) if allowed >> n & 1 and inner & b] if clique else root
+        killers = min(([i for i in candidates if not big_bits[i] & b] for b in here), key=len)
         for i in killers:
-            found = search(inner.intersect(bigs[i]), candidates & neighbors(i), clique + (i,))
+            found = search(inner & big_bits[i], candidates & neighbors(i), clique + (i,), allowed | names[i])
             if found is not None:
                 return found
         return None
 
-    found = search(interior_of(g, []), set(range(len(ms))), ())
+    found = search(box.everything, set(range(len(ms))), (), (1 << len(strips)) - 1)
     if found is not None:
         return TangleVerdict(False, star=tuple(ms[i] for i in found))
     return TangleVerdict(True)

@@ -163,6 +163,23 @@ def test_check_tangle_crit_point(capsys):
     assert code == 0 and json.loads(out)["ok"]
 
 
+def test_bad_points_and_separation_specs_are_input_errors(capsys):
+    combo = SPEC["combo"]
+    cases = [
+        (("check-tangle", combo, "--point", "end:s1", "--seps", "auto:abc"), "BadSeps('auto:abc')"),
+        (("check-tangle", combo, "--point", "end:s1", "--seps", "auto:-1"), "BadSeps('auto:-1')"),
+        (("check-tangle", combo, "--point", "end:s1", "--seps", "all:1"), "BadSeps('all:1')"),
+        (("check-tangle", combo, "--point", "crit:{core:a}"), "NotCritical: ['core:a']"),
+        (("check-tangle", combo, "--point", "crit:{xyz}"), "UnknownVertex('xyz')"),
+        (("distinguish", combo, "--a", "end:s1", "--b", "crit:{core:a}"), "NotCritical: ['core:a']"),
+        (("distinguish", combo, "--a", "crit:{xyz}", "--b", "end:s1"), "UnknownVertex('xyz')"),
+    ]
+    for argv, message in cases:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith(message), (argv, err)
+
+
 def test_distinguish_command(capsys):
     code, out, _ = run(
         capsys,

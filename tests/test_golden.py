@@ -6,8 +6,10 @@ points exist) and export-dot.  The arguments are derived from the
 CLI's own output: the first critical set of ``critical`` and the first
 points of ``report``'s tangles.  Every strip also gets deep deletions:
 ``components`` and ``limit`` with strip vertices past the first few
-periods, and a periodic-fan copy where the strip has a periodic fan.  Regenerate the digests only when the
-output is meant to change:
+periods, and a periodic-fan copy where the strip has a periodic fan.  Tangle checks run
+at depth too: ``check-tangle --horizon 3 --seps auto:2`` on every end and
+on the first critical set, and ``--seps auto:3`` on combo's end.
+Regenerate the digests only when the output is meant to change:
 
     PYTHONPATH=src python3 tests/test_golden.py > tests/golden_digests.json
 """
@@ -61,6 +63,12 @@ def cases(name: str) -> list[list[str]]:
         if s.periodic_fan:
             argvs.append(["components", spec, "--json", "--delete", f"pfan:{s.id}/9/1/{s.periodic_fan.locals[0]}"])
         argvs.append(["limit", spec, "--json", "--family", "{};{" + f"strip:{s.id}/6/{l}" + "}"])
+    deep = ["check-tangle", spec, "--json", "--horizon", "3", "--seps"]
+    argvs.extend(deep + ["auto:2", "--point", f"end:{s.id}"] for s in strips)
+    if first_crit:
+        argvs.append(deep + ["auto:2", "--point", "crit:{" + first_crit + "}"])
+    if name == "combo":
+        argvs.append(deep + ["auto:3", "--point", "end:s1"])
     if len(points) >= 2:
         argvs.append(["distinguish", spec, "--json", "--a", points[0], "--b", points[1]])
     argvs.append(["export-dot", spec])

@@ -18,11 +18,11 @@ from omegagraph.separations import (
     check_tangle,
     enumerate_tame_separations,
     induced_orientation,
-    le,
     orient_by_point,
     point_filter,
 )
 from conftest import FIXTURE_NAMES, random_deletion, random_pattern
+from symbolic_reference import le
 
 
 def _truncated_sides(osep, fg):

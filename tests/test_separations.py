@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 
 from omegagraph import fixture_graphs
 from omegagraph.cli import _enumerate_seps
-from omegagraph.components import delete
+from omegagraph.components import InvariantError, delete
 from omegagraph.ids import core, stripv
+from omegagraph.pattern import to_raw, validate
 from omegagraph.separations import (
     BaseMismatchError,
     FamilyRule,
-    NotAStarError,
     NotFoundWithinHorizonError,
     NotTameError,
     Orientation,
@@ -31,13 +31,8 @@ from omegagraph.separations import (
     end_point,
     enumerate_tame_separations,
     induced_orientation,
-    interior,
-    interior_of,
     is_consistent,
-    is_star,
     is_tame,
-    le,
-    lt,
     orient_by_point,
     perturb_separation,
     point_filter,
@@ -47,8 +42,22 @@ from omegagraph.separations import (
     rule_subset,
     toward_components,
 )
-from omegagraph.separations import SymbolicVertexSet, _orientation_bits, _side_bits
+from omegagraph.separations import SymbolicVertexSet, _first_violation, _orientation_bits, _side_bits
 from conftest import FIXTURE_NAMES, random_pattern, vertex_pool
+from symbolic_reference import (
+    NotAStarError,
+    contains_side_bits,
+    interior,
+    interior_of,
+    is_finite,
+    is_star,
+    le,
+    lt,
+    materialize_finite,
+    scan_first_violation,
+    subseteq,
+    symbolic_check_tangle,
+)
 
 
 P = lambda t: stripv("s1", t, "p")
@@ -132,6 +141,19 @@ def test_subset_base_mismatch(fixtures):
         SymbolicSubset.empty(cs1).union(SymbolicSubset.empty(cs2))
 
 
+def test_sides_live_over_one_graph(fixtures):
+    comb, combo = delete(fixtures["comb"], []), delete(fixtures["combo"], [])
+    with pytest.raises(InvariantError):
+        Separation(comb, SymbolicSubset.full(combo))
+    with pytest.raises(BaseMismatchError):
+        SymbolicSubset.empty(comb).union(SymbolicSubset.empty(combo))
+    assert SymbolicSubset.empty(comb) != SymbolicSubset.empty(combo)
+    # an equal graph built again is the same base
+    again = delete(validate(to_raw(fixtures["comb"])), [])
+    assert SymbolicSubset.empty(again) == SymbolicSubset.empty(comb)
+    assert Separation(comb, SymbolicSubset.full(again)).side_set(True).is_all
+
+
 def test_tame_subset_ops_stay_cofinite_or_finite(comb_cs):
     # all-but-finitely-many rule algebra never produces a parity split
     h = ("pfan", "s1", 0)
@@ -211,8 +233,8 @@ def test_component_star_has_interior_x(fixtures):
     ]
     assert is_star(members)
     inner = interior(members)
-    assert inner.is_finite()
-    assert inner.materialize_finite() == cs.X
+    assert is_finite(inner)
+    assert materialize_finite(inner) == cs.X
 
 
 def test_two_separations_pointing_away_not_star(fixtures):
@@ -227,11 +249,11 @@ def test_two_separations_pointing_away_not_star(fixtures):
 
 def test_interior_single_infinite_side(comb_cs):
     o = toward_components(comb_cs, SymbolicSubset.family_side(comb_cs, {P(0)}))
-    assert not interior([o]).is_finite()
+    assert not is_finite(interior([o]))
 
 
 def test_interior_empty_star_is_everything(fixtures):
-    assert not interior_of(fixtures["comb"], []).is_finite()
+    assert not is_finite(interior_of(fixtures["comb"], []))
     with pytest.raises(NotAStarError):
         interior([])
 
@@ -377,7 +399,7 @@ def test_forbidden_star_on_ray(fixtures):
     ]
     verdict = check_tangle(both, g)
     assert not verdict.ok and verdict.star
-    assert interior(list(verdict.star)).is_finite()
+    assert is_finite(interior(list(verdict.star)))
 
 
 def test_consistency_violation_verdict(fixtures):
@@ -605,13 +627,24 @@ def symbolic_is_consistent(o):
     return True, None
 
 
+def _declared_in_reverse(g):
+    """The same graph with its strips and fans declared in reverse order."""
+    raw = to_raw(g)
+    raw["strips"].reverse()
+    raw["fans"].reverse()
+    return validate(raw)
+
+
 @functools.lru_cache(maxsize=None)
 def _graph_and_seps(case):
     """A fixture or random pattern with the CLI's auto separations over it."""
     if case in FIXTURE_NAMES:
         g = fixture_graphs.all_fixtures()[case]
         return g, _enumerate_seps(g, 2, 2)
-    g = random_pattern(int(case.removeprefix("random")))
+    if case.startswith("reversed"):
+        g = _declared_in_reverse(random_pattern(int(case.removeprefix("reversed"))))
+    else:
+        g = random_pattern(int(case.removeprefix("random")))
     return g, _enumerate_seps(g, 1, 2)
 
 
@@ -630,19 +663,29 @@ _CASES = [*FIXTURE_NAMES, *(f"random{seed}" for seed in range(30))]
 
 
 @pytest.mark.parametrize("case", _CASES)
+def test_side_bits_match_contains_on_the_box(case):
+    # filled from each side's description, bit for bit as one contains call per box vertex
+    g, seps = _graph_and_seps(case)
+    if case in ("comb", "combo"):
+        seps = seps + _parity_seps(g)
+    sides = [sep.side_set(of_side) for sep in seps for of_side in (True, False)]
+    assert _side_bits(g, sides) == contains_side_bits(g, sides)
+
+
+@pytest.mark.parametrize("case", _CASES)
 def test_side_bits_match_subseteq(case):
     g, seps = _graph_and_seps(case)
     if case in ("comb", "combo"):
         seps = seps + _parity_seps(g)
     rng = random.Random(case)
     ms = [sep.orient(rng.random() < 0.5) for sep in seps]
-    smalls, bigs = _orientation_bits(ms)
+    _, smalls, bigs = _orientation_bits(ms, g)
     bits = smalls + bigs
     sides = [m.small_set() for m in ms] + [m.big_set() for m in ms]
     disagreements = [
         (a, b)
         for a, b in itertools.product(range(len(sides)), repeat=2)
-        if (not bits[a] & ~bits[b]) != sides[a].subseteq(sides[b])
+        if (not bits[a] & ~bits[b]) != subseteq(sides[a], sides[b])
     ]
     assert disagreements == []
 
@@ -653,8 +696,8 @@ def test_side_bits_see_past_the_last_named_period(fixtures):
     g = fixtures["ray"]
     sides = [SymbolicVertexSet(g, tails={"s1": 1}), SymbolicVertexSet(g, frozenset({P(1)}))]
     tail, first = _side_bits(g, sides)
-    assert tail & ~first and not sides[0].subseteq(sides[1])
-    assert not first & ~tail and sides[1].subseteq(sides[0])
+    assert tail & ~first and not subseteq(sides[0], sides[1])
+    assert not first & ~tail and subseteq(sides[1], sides[0])
 
 
 @pytest.mark.parametrize("case", _CASES)
@@ -678,14 +721,14 @@ def _brute_force_tangle(ms, g) -> bool:
     if not symbolic_is_consistent(ms)[0]:
         return False
     return not any(
-        is_star(sigma) and interior_of(g, sigma).is_finite()
+        is_star(sigma) and is_finite(interior_of(g, sigma))
         for r in range(len(ms) + 1)
         for sigma in itertools.combinations(ms, r)
     )
 
 
-def _some(data, items):
-    return data.draw(st.lists(st.sampled_from(items), unique_by=id, max_size=6)) if items else []
+def _some(data, items, max_size=6):
+    return data.draw(st.lists(st.sampled_from(items), unique_by=id, max_size=max_size)) if items else []
 
 
 @given(st.data())
@@ -709,4 +752,95 @@ def test_check_tangle_matches_star_enumeration(data):
     if verdict.violation is not None:
         assert verdict.violation == symbolic_is_consistent(ms)[1]
     if verdict.star is not None:
-        assert is_star(verdict.star) and interior_of(g, verdict.star).is_finite()
+        assert is_star(verdict.star) and is_finite(interior_of(g, verdict.star))
+
+
+# Graphs whose strips or fans are declared out of id order: the star search
+# takes the root's features in declaration order and deeper ones sorted.
+_REVERSED = ["reversed1", "reversed6", "reversed9", "reversed17"]
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_int_star_search_matches_symbolic_search(data):
+    case = data.draw(st.sampled_from(_CASES + _REVERSED))
+    g, seps = _graph_and_seps(case)
+    pool = vertex_pool(g, 2, 2)
+    ms = []
+    # members pointing away from their sides over one or two deletions make
+    # stars; an induced orientation adds members every star must avoid
+    for _ in range(data.draw(st.integers(1, 2))):
+        X = data.draw(st.lists(st.sampled_from(pool), max_size=2)) if pool else []
+        ms += [sep.orient(False) for sep in _some(data, enumerate_tame_separations(delete(g, X)), 10)]
+    points = all_points(g, 1)
+    if points and data.draw(st.booleans()):
+        xi = data.draw(st.sampled_from(points))
+        ms += [orient_by_point(xi, sep) for sep in _some(data, seps, 10)]
+    ms = [m.reverse() if data.draw(st.integers(0, 9)) == 0 else m for m in ms]
+    assert check_tangle(ms, g) == symbolic_check_tangle(ms, g)
+
+
+def _sides_over(universe, data):
+    """Small and big sides X u A and X u (V - A) of one separation over a few vertices."""
+    X = data.draw(st.integers(0, universe))
+    A = data.draw(st.integers(0, universe))
+    return X | A, X | (universe & ~A)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_first_violation_matches_pair_scan(data):
+    universe = (1 << data.draw(st.integers(1, 8))) - 1
+    pairs = [_sides_over(universe, data) for _ in range(data.draw(st.integers(0, 12)))]
+    smalls, bigs = [s for s, _ in pairs], [b for _, b in pairs]
+    assert _first_violation(smalls, bigs) == scan_first_violation(smalls, bigs)
+
+
+def test_check_tangle_calls_no_contains(fixtures, monkeypatch):
+    # the sides' ints come from their descriptions, not from membership tests
+    g = fixtures["combo"]
+    o = induced_orientation(end_point("s1"), _enumerate_seps(g, 3, 3))
+    calls = 0
+    contains = SymbolicVertexSet.contains
+
+    def counting_contains(self, v):
+        nonlocal calls
+        calls += 1
+        return contains(self, v)
+
+    monkeypatch.setattr(SymbolicVertexSet, "contains", counting_contains)
+    assert check_tangle(o, g).ok
+    assert calls == 0
+
+
+def test_tameness_is_decided_once_per_separation(fixtures, monkeypatch):
+    calls = 0
+    has_infinite_part_on = SymbolicSubset.has_infinite_part_on
+
+    def counting(self, Y):
+        nonlocal calls
+        calls += 1
+        return has_infinite_part_on(self, Y)
+
+    monkeypatch.setattr(SymbolicSubset, "has_infinite_part_on", counting)
+    g = fixtures["combo"]
+    seps = _enumerate_seps(g, 2, 3)
+    enumerated = calls
+    assert enumerated > 0
+    assert check_tangle(induced_orientation(end_point("s1"), seps), g).ok
+    assert calls == enumerated
+
+
+def test_star_search_takes_the_graphs_features_in_declaration_order():
+    # the two tails tie at the root, where the symbolic search took the
+    # graph's strips as declared: s2 first
+    g = _declared_in_reverse(_two_ended())
+    cs = delete(g, {core("c"), core("d")})
+    away = {
+        d.tails[0].strip: away_from_components(cs, SymbolicSubset(cs, explicit_in={d.key()}))
+        for d in cs.explicit_descriptors
+    }
+    ms = [away["s1"], away["s2"]]
+    verdict = check_tangle(ms, g)
+    assert verdict == symbolic_check_tangle(ms, g)
+    assert verdict.star == (away["s2"], away["s1"])
