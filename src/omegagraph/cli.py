@@ -17,6 +17,7 @@ and points of the limit space are written ``end:s1`` or
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import sys
@@ -223,14 +224,13 @@ def _components_json(cs: _components.ComponentSystem) -> dict:
     }
 
 
-def _tangle_json(g: PatternGraph, xi, seps, max_base: int, horizon: int) -> dict:
-    """Tangle verdict of xi over seps, enumerated with (max_base, horizon)."""
-    orientation = _separations.induced_orientation(xi, seps)
-    verdict = _separations.check_tangle(orientation, g)
+def _tangle_json(system, xi, max_base: int, horizon: int) -> dict:
+    """Tangle verdict of xi over the system, enumerated with (max_base, horizon)."""
+    verdict = system.check(system.orient(xi))
     out = {
         "point": _point_token(xi),
         "bounds": {"max_base_size": max_base, "period_horizon": horizon},
-        "separations": len(seps),
+        "separations": len(system.seps),
         "ok": verdict.ok,
     }
     if verdict.violation:
@@ -247,16 +247,11 @@ def _enumerate_seps(g: PatternGraph, max_base: int, horizon: int):
     for s in g.strips:
         pool.extend(parse_vertex(f"strip:{s.id}/{t}/{l}") for t in range(horizon) for l in s.locals)
     pool.sort(key=VertexId.sort_key)
+    # distinct bases X give distinct separations: no deduplication across them
     seps = []
-    seen = set()
     for r in range(max_base + 1):
         for combo in itertools.combinations(pool, r):
-            cs = _components.delete(g, combo)
-            for sep in _separations.enumerate_tame_separations(cs):
-                uk = sep.underlying_key()
-                if uk not in seen:
-                    seen.add(uk)
-                    seps.append(sep)
+            seps.extend(_separations.enumerate_tame_separations(_components.delete(g, combo)))
     return seps
 
 
@@ -284,8 +279,8 @@ def _analysis_report(g: PatternGraph, args, full: bool) -> dict:
     if full:
         report["components"] = [_components_json(css[X]) for X in family]
         pts = _separations.all_points(g, horizon)
-        seps = _enumerate_seps(g, 1, min(horizon, 2))
-        report["tangles"] = [_tangle_json(g, xi, seps, 1, min(horizon, 2)) for xi in pts]
+        system = _separations.SeparationSystem(g, _enumerate_seps(g, 1, min(horizon, 2)))
+        report["tangles"] = [_tangle_json(system, xi, 1, min(horizon, 2)) for xi in pts]
         report["distinguish"] = [
             _distinguish_json(g, a, b) for a, b in itertools.combinations(pts, 2)
         ]
@@ -424,8 +419,8 @@ def _cmd_check_tangle(args) -> int:
         max_base = -1
     if max_base < 0:
         raise CliError(f"BadSeps({args.seps!r}): use auto:<max base size>, a non-negative integer")
-    seps = _enumerate_seps(g, max_base, args.horizon)
-    out = _tangle_json(g, xi, seps, max_base, args.horizon)
+    system = _separations.SeparationSystem(g, _enumerate_seps(g, max_base, args.horizon))
+    out = _tangle_json(system, xi, max_base, args.horizon)
     _emit(out, args)
     return 0 if out["ok"] else 2
 
@@ -508,8 +503,12 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# One parser per process, built on first use: parse_args only reads it.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except CliError as exc:

@@ -11,9 +11,11 @@ is built.
 
 Points of the limit space (ends and critical vertex sets) orient tame
 separations through their induced filters; ``check_tangle`` verifies
-consistency and the absence of finite-interior stars.  It compares the
-sides as bitsets over a per-call box of representative vertices, filled
-from each side's description, and runs the star search on the same ints.
+consistency and the absence of finite-interior stars.  A
+``SeparationSystem`` holds a list of separations with their sides as
+bitsets over one box of representative vertices, filled from each side's
+description, and checks each orientation of the list on those ints,
+the star search included.
 """
 
 from __future__ import annotations
@@ -47,6 +49,10 @@ class NotTameError(ValueError):
 
 
 class PointsEqualError(ValueError):
+    pass
+
+
+class GraphRequiredError(ValueError):
     pass
 
 
@@ -523,14 +529,6 @@ def _side_bits(g: PatternGraph, sides: list[SymbolicVertexSet]) -> list[int]:
     return [box.bits(svs) for svs in sides]
 
 
-def _orientation_bits(ms, g: PatternGraph) -> tuple[_Box, list[int], list[int]]:
-    """One box over the members' sides, and their small and big sides over it."""
-    sides = [m.small_set() for m in ms] + [m.big_set() for m in ms]
-    box = _Box(g, sides)
-    bits = [box.bits(svs) for svs in sides]
-    return box, bits[: len(ms)], bits[len(ms):]
-
-
 def _first_violation(smalls: list[int], bigs: list[int]):
     """First (i, j), in ``itertools.permutations`` order, with reverse(i) < j.
 
@@ -563,18 +561,6 @@ def _first_violation(smalls: list[int], bigs: list[int]):
             if smalls[j] & not_big_i or smalls[i] & ~bigs[j]:
                 return i, j
     return None
-
-
-def is_consistent(o):
-    """True, or a witnessing pair (p, q) with reverse(p) < q."""
-    ms = list(o)
-    if not ms:
-        return True, None
-    _, smalls, bigs = _orientation_bits(ms, ms[0].sep.cs.g)
-    pair = _first_violation(smalls, bigs)
-    if pair is None:
-        return True, None
-    return False, (ms[pair[0]], ms[pair[1]])
 
 
 def is_tame(sep: Separation) -> bool:
@@ -634,18 +620,34 @@ def point_filter(cs: ComponentSystem, xi: PointOfGamma):
     return ("principal", unique_component_meeting(cs, xi.Y))
 
 
+def _induced_toward(xi: PointOfGamma, seps) -> tuple[bool, ...]:
+    """Does xi orient each tame separation towards its side?
+
+    The point's filter is looked up once per component system.
+    """
+    filters: dict[ComponentSystem, tuple] = {}
+    toward = []
+    for sep in seps:
+        if not is_tame(sep):
+            raise NotTameError("induced orientations are defined on tame separations only")
+        if sep.cs not in filters:
+            filters[sep.cs] = point_filter(sep.cs, xi)
+        mode, payload = filters[sep.cs]
+        if mode == "principal":
+            toward.append(payload.key() in sep.side.explicit_in)
+        else:
+            toward.append(sep.side.is_cofinite_on(payload))
+    return tuple(toward)
+
+
 def orient_by_point(xi: PointOfGamma, sep: Separation) -> OrientedSeparation:
     """Orient a tame separation towards the side holding the point's filter."""
-    if not is_tame(sep):
-        raise NotTameError("induced orientations are defined on tame separations only")
-    mode, payload = point_filter(sep.cs, xi)
-    if mode == "principal":
-        return sep.orient(payload.key() in sep.side.explicit_in)
-    return sep.orient(sep.side.is_cofinite_on(payload))
+    return sep.orient(_induced_toward(xi, (sep,))[0])
 
 
 def induced_orientation(xi: PointOfGamma, seps) -> Orientation:
-    return Orientation(orient_by_point(xi, sep) for sep in seps)
+    seps = list(seps)
+    return Orientation(map(Separation.orient, seps, _induced_toward(xi, seps)))
 
 
 @dataclass(frozen=True)
@@ -658,73 +660,150 @@ class TangleVerdict:
         return self.ok
 
 
-def check_tangle(o, g: PatternGraph | None = None) -> TangleVerdict:
-    """Consistency plus avoidance of finite stars with finite interior.
+@dataclass(frozen=True, eq=False)
+class SeparationSystem:
+    """A list of separations of one graph, with its box and side ints built once.
 
-    Exactly equivalent to enumerating every star inside o: the interior
-    only shrinks as a star grows, and over tame sides every infinite
-    feature of an interior (a strip tail or a cofinite family) can only
-    be removed by a single member pointing away from it.  The search
-    adds one such killer per level, so its depth is bounded by the
-    number of features; branching is worst-case exponential in that
-    small number.  All of it runs on the sides' ints over one ``_Box``:
-    an interior is the AND of its members' big sides and is finite iff
-    it misses ``beyond``, a feature is the beyond bits of one strip or
-    family, and its killers are the members whose big side lacks them.
+    An orientation of the system is one toward-side bit per separation:
+    True points it towards ``side``.  Its small and big sides are picked
+    from the ints of each separation's co-side and side, so checking many
+    orientations of one list builds one ``_Box``.  The box over a list is
+    the box over any orientation of it, because an orientation's small and
+    big sides are the list's sides and co-sides; so ``check`` gives the
+    verdicts and witnesses that ``check_tangle`` gives on the members.
+    """
+
+    g: PatternGraph
+    seps: tuple
+    box: _Box = field(init=False, repr=False)
+    ints: tuple = field(init=False, repr=False)  # per separation: (co-side int, side int)
+    names: tuple = field(init=False, repr=False)  # per separation: features each side's copies name
+    feats: tuple = field(init=False, repr=False)
+    root: tuple = field(init=False, repr=False)
+    tame: bool = field(init=False, repr=False)
+
+    def __post_init__(self):
+        seps = tuple(self.seps)
+        sides = [sep.side_set(of_side) for sep in seps for of_side in (False, True)]
+        box = _Box(self.g, sides)
+        bits = [box.bits(svs) for svs in sides]
+        # the star search's features below the root (see ``check``)
+        strips = sorted(s.id for s in self.g.strips)
+        handles = sorted({h for svs in sides for h in svs.copies}, key=handle_sort_key)
+        index = {h: len(strips) + n for n, h in enumerate(handles)}
+        names = [sum(1 << index[h] for h in svs.copies) for svs in sides]
+        built = {
+            "seps": seps,
+            "box": box,
+            "ints": tuple(zip(bits[0::2], bits[1::2])),
+            "names": tuple(zip(names[0::2], names[1::2])),
+            "feats": tuple(map(box.tail_feature, strips)) + tuple(map(box.family_feature, handles)),
+            "root": tuple(box.tail_feature(s.id) for s in self.g.strips)
+            + tuple(box.family_feature(("fan", f.id)) for f in self.g.fans),
+            "tame": all(map(is_tame, seps)),
+        }
+        for name, value in built.items():
+            object.__setattr__(self, name, value)
+
+    def orient(self, xi: PointOfGamma) -> tuple[bool, ...]:
+        """The orientation xi induces: towards the side holding its filter."""
+        return _induced_toward(xi, self.seps)
+
+    def sides(self, toward) -> tuple[list[int], list[int]]:
+        """The small and big sides of the orientation as ints over the box."""
+        pairs = list(zip(self.ints, toward, strict=True))
+        return [pair[not t] for pair, t in pairs], [pair[t] for pair, t in pairs]
+
+    def _members(self, indices, toward) -> tuple:
+        return tuple(self.seps[i].orient(toward[i]) for i in indices)
+
+    def check(self, toward) -> TangleVerdict:
+        """Consistency plus avoidance of finite stars with finite interior.
+
+        Exactly equivalent to enumerating every star inside the
+        orientation: the interior only shrinks as a star grows, and over
+        tame sides every infinite feature of an interior (a strip tail or
+        a cofinite family) can only be removed by a single member pointing
+        away from it.  The search adds one such killer per level, so its
+        depth is bounded by the number of features; branching is
+        worst-case exponential in that small number.  An interior is the
+        AND of its members' big sides and is finite iff it misses
+        ``beyond``, a feature is the beyond bits of one strip or family,
+        and its killers are the members whose big side lacks them.
+        """
+        if not self.tame:
+            raise NotTameError("check_tangle expects tame separations only")
+        box = self.box
+        small_bits, big_bits = self.sides(toward)
+        pair = _first_violation(small_bits, big_bits)
+        if pair is not None:
+            return TangleVerdict(False, violation=self._members(pair, toward))
+        if not box.beyond:
+            return TangleVerdict(False, star=())
+        neighbor_memo: dict[int, set] = {}
+
+        def neighbors(i: int) -> set:
+            """Members j that point towards i: small_i <= big_j and small_j <= big_i."""
+            if i not in neighbor_memo:
+                small_i, not_big_i = small_bits[i], ~big_bits[i]
+                neighbor_memo[i] = {
+                    j
+                    for j in range(len(big_bits))
+                    if j != i and not (small_i & ~big_bits[j]) and not (small_bits[j] & not_big_i)
+                }
+            return neighbor_memo[i]
+
+        # The features of the whole graph are its strips and core fans, in
+        # the graph's order.  Below the root they are the strips, sorted by
+        # id, and the families some member of the star names in its big
+        # side's copies, by handle_sort_key; a family under a tail that no
+        # member names is that tail's feature.  ``feats`` lists every family
+        # some side of the system names, and ``allowed`` marks the features
+        # a star may have.
+        feats = self.feats
+        names = [pair[t] for pair, t in zip(self.names, toward, strict=True)]
+
+        def search(inner: int, candidates: set, clique: tuple, allowed: int):
+            if not inner & box.beyond:
+                return clique
+            here = [b for n, b in enumerate(feats) if allowed >> n & 1 and inner & b] if clique else self.root
+            killers = min(([i for i in candidates if not big_bits[i] & b] for b in here), key=len)
+            for i in killers:
+                found = search(inner & big_bits[i], candidates & neighbors(i), clique + (i,), allowed | names[i])
+                if found is not None:
+                    return found
+            return None
+
+        found = search(box.everything, set(range(len(big_bits))), (), (1 << len(self.g.strips)) - 1)
+        if found is not None:
+            return TangleVerdict(False, star=self._members(found, toward))
+        return TangleVerdict(True)
+
+
+def is_consistent(o):
+    """True, or a witnessing pair (p, q) with reverse(p) < q."""
+    ms = list(o)
+    if not ms:
+        return True, None
+    system = SeparationSystem(ms[0].sep.cs.g, [m.sep for m in ms])
+    pair = _first_violation(*system.sides([m.toward_side for m in ms]))
+    if pair is None:
+        return True, None
+    return False, (ms[pair[0]], ms[pair[1]])
+
+
+def check_tangle(o, g: PatternGraph | None = None) -> TangleVerdict:
+    """Is the orientation o a tangle?  See ``SeparationSystem.check``.
+
+    An empty orientation does not say which graph it lives on, so it
+    needs g.
     """
     ms = list(o)
-    if g is None and ms:
+    if g is None:
+        if not ms:
+            raise GraphRequiredError("check_tangle of an empty orientation needs its graph")
         g = ms[0].sep.cs.g
-    for m in ms:
-        if not is_tame(m.sep):
-            raise NotTameError("check_tangle expects tame separations only")
-    box, small_bits, big_bits = _orientation_bits(ms, g)
-    pair = _first_violation(small_bits, big_bits)
-    if pair is not None:
-        return TangleVerdict(False, violation=(ms[pair[0]], ms[pair[1]]))
-    if not box.beyond:
-        return TangleVerdict(False, star=())
-    neighbor_memo: dict[int, set] = {}
-
-    def neighbors(i: int) -> set:
-        """Members j that point towards i: small_i <= big_j and small_j <= big_i."""
-        if i not in neighbor_memo:
-            small_i, not_big_i = small_bits[i], ~big_bits[i]
-            neighbor_memo[i] = {
-                j
-                for j in range(len(ms))
-                if j != i and not (small_i & ~big_bits[j]) and not (small_bits[j] & not_big_i)
-            }
-        return neighbor_memo[i]
-
-    # The features of the whole graph are its strips and core fans, in the
-    # graph's order.  Below the root they are the strips, sorted by id, and
-    # the families some member of the star names in its big side's copies,
-    # by handle_sort_key; a family under a tail that no member names is
-    # that tail's feature.  ``allowed`` marks the features a star may have.
-    copies = [m.big_set().copies for m in ms]
-    handles = sorted({h for named in copies for h in named}, key=handle_sort_key)
-    strips = sorted(s.id for s in g.strips)
-    feats = [box.tail_feature(s) for s in strips] + [box.family_feature(h) for h in handles]
-    index = {h: len(strips) + n for n, h in enumerate(handles)}
-    names = [sum(1 << index[h] for h in named) for named in copies]
-    root = [box.tail_feature(s.id) for s in g.strips] + [box.family_feature(("fan", f.id)) for f in g.fans]
-
-    def search(inner: int, candidates: set, clique: tuple, allowed: int):
-        if not inner & box.beyond:
-            return clique
-        here = [b for n, b in enumerate(feats) if allowed >> n & 1 and inner & b] if clique else root
-        killers = min(([i for i in candidates if not big_bits[i] & b] for b in here), key=len)
-        for i in killers:
-            found = search(inner & big_bits[i], candidates & neighbors(i), clique + (i,), allowed | names[i])
-            if found is not None:
-                return found
-        return None
-
-    found = search(box.everything, set(range(len(ms))), (), (1 << len(strips)) - 1)
-    if found is not None:
-        return TangleVerdict(False, star=tuple(ms[i] for i in found))
-    return TangleVerdict(True)
+    return SeparationSystem(g, [m.sep for m in ms]).check([m.toward_side for m in ms])
 
 
 # ---------------------------------------------------------------------------
@@ -817,15 +896,17 @@ def enumerate_tame_separations(cs: ComponentSystem, max_copy: int = 2, max_expli
                 sides.append(base.with_member_toggled(h, k))
         for key in explicit:
             sides.append(base.with_explicit_toggled(key))
+    # two sides give one separation iff they are equal or complementary,
+    # so a side is new iff its key is not among those of the sides built
     seps: list[Separation] = []
     seen = set()
     for side in sides:
-        sep = Separation(cs, side)
-        uk = sep.underlying_key()
-        if uk in seen or not is_tame(sep):
+        if side.key() in seen:
             continue
-        seen.add(uk)
-        seps.append(sep)
+        sep = Separation(cs, side)
+        seen.update((side.key(), sep.co_side.key()))
+        if is_tame(sep):
+            seps.append(sep)
     seps.sort(key=lambda s: s.underlying_key()[0] + tuple(s.side.key()))
     return seps
 

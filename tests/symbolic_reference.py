@@ -20,10 +20,10 @@ from omegagraph.separations import (
     RULE_FALSE,
     RULE_TRUE,
     NotTameError,
+    SeparationSystem,
     SymbolicVertexSet,
     TangleVerdict,
     _first_violation,
-    _orientation_bits,
     is_tame,
     rule_and,
 )
@@ -205,7 +205,7 @@ def symbolic_check_tangle(o, g=None) -> TangleVerdict:
     for m in ms:
         if not is_tame(m.sep):
             raise NotTameError("check_tangle expects tame separations only")
-    _, small_bits, big_bits = _orientation_bits(ms, g)
+    _, small_bits, big_bits = orientation_bits(ms, g)
     pair = _first_violation(small_bits, big_bits)
     if pair is not None:
         return TangleVerdict(False, violation=(ms[pair[0]], ms[pair[1]]))
@@ -241,6 +241,12 @@ def symbolic_check_tangle(o, g=None) -> TangleVerdict:
     if found is not None:
         return TangleVerdict(False, star=tuple(ms[i] for i in found))
     return TangleVerdict(True)
+
+
+def orientation_bits(ms, g):
+    """One system's box over the members' separations, and their small and big sides over it."""
+    system = SeparationSystem(g, [m.sep for m in ms])
+    return (system.box, *system.sides([m.toward_side for m in ms]))
 
 
 def scan_first_violation(smalls: list[int], bigs: list[int]):

@@ -1,6 +1,11 @@
 """CLI behaviour: determinism, round-trips, exit codes, DOT output."""
 
+import argparse
 import json
+import sys
+import threading
+
+import pytest
 
 from omegagraph import cli
 from omegagraph.cli import main
@@ -279,3 +284,102 @@ def test_limit_and_report_delete_each_set_once(capsys, monkeypatch):
         calls = 0
         code, _, _ = run(capsys, *argv)
         assert (code, calls) == (0, want), argv
+
+
+def test_report_builds_one_box_per_separation_list(capsys, monkeypatch):
+    from omegagraph import separations
+
+    boxes = 0
+    init = separations._Box.__init__
+
+    def counting(self, *args):
+        nonlocal boxes
+        boxes += 1
+        init(self, *args)
+
+    monkeypatch.setattr(separations._Box, "__init__", counting)
+    code, out, _ = run(capsys, "report", "--json", SPEC["combo"], "--horizon", "8")
+    assert code == 0 and len(json.loads(out)["tangles"]) > 1
+    assert boxes == 1
+
+
+# ---------------------------------------------------------------------------
+# The parser is built once per process and only read afterwards
+
+COMMANDS = ["analyze", "report", "components", "critical", "classify", "limit",
+            "check-tangle", "distinguish", "export-dot"]
+
+
+def test_main_builds_the_parser_once(capsys, monkeypatch):
+    built = 0
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        nonlocal built
+        built += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    cli._parser.cache_clear()
+    codes = [run(capsys, "classify", SPEC[name])[0] for name in ("star", "ray", "comb", "combo")]
+    code, _, err = run(capsys, "components", SPEC["ray"], "--delete", "core:nope")
+    assert (codes, code, err) == ([0, 0, 0, 0], 1, "UnknownVertex('core:nope')\n")
+    # one top-level parser, the common parent and one per subcommand
+    assert built <= 11
+
+
+def test_shared_parser_parses_from_threads():
+    argvs = [
+        ["report", "g.json", "--json", "--horizon", "3"],
+        ["check-tangle", "h.json", "--point", "end:s1", "--seps", "auto:2"],
+        ["limit", "g.json", "--family", "{};{core:a}", "--copies", "5"],
+        ["components", "k.json", "--delete", "core:a,core:b", "--seed", "7"],
+    ]
+    want = [cli.build_parser().parse_args(argv) for argv in argvs]
+    parser = cli._parser()
+    start = threading.Barrier(len(argvs))
+    got = [[] for _ in argvs]
+
+    def parse(n):
+        start.wait()
+        got[n].extend(parser.parse_args(argvs[n]) for _ in range(200))
+
+    threads = [threading.Thread(target=parse, args=(n,)) for n in range(len(argvs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [[w] * 200 for w in want]
+
+
+def _exit_output(capsys, argv) -> tuple:
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out = capsys.readouterr()
+    return exc.value.code, out.out, out.err
+
+
+def test_help_and_usage_errors_are_the_same_after_use(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    targets = [["--help"], ["--bogus"]]
+    for command in COMMANDS:
+        targets += [[command, "--help"], [command, "g.json", "--bogus"]]
+
+    def first_call(argv):
+        cli._parser.cache_clear()
+        return _exit_output(capsys, argv)
+
+    first = [first_call(argv) for argv in targets]
+    for n in range(20):
+        run(capsys, "classify", SPEC["ray"], "--json")
+        if n % 4 == 0:
+            _exit_output(capsys, [COMMANDS[n % len(COMMANDS)], "--help"])
+    assert [_exit_output(capsys, argv) for argv in targets] == first
+    assert all(code == 0 and out.startswith("usage: omegagraph") for code, out, _ in first[0::2])
+    assert all(code == 2 and "error:" in err for code, _, err in first[1::2])

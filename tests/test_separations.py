@@ -16,13 +16,16 @@ from omegagraph.pattern import to_raw, validate
 from omegagraph.separations import (
     BaseMismatchError,
     FamilyRule,
+    GraphRequiredError,
     NotFoundWithinHorizonError,
     NotTameError,
     Orientation,
     PointsEqualError,
     RULE_TRUE,
     Separation,
+    SeparationSystem,
     SymbolicSubset,
+    TangleVerdict,
     all_points,
     away_from_components,
     check_tangle,
@@ -42,7 +45,7 @@ from omegagraph.separations import (
     rule_subset,
     toward_components,
 )
-from omegagraph.separations import SymbolicVertexSet, _first_violation, _orientation_bits, _side_bits
+from omegagraph.separations import SymbolicVertexSet, _first_violation, _side_bits
 from conftest import FIXTURE_NAMES, random_pattern, vertex_pool
 from symbolic_reference import (
     NotAStarError,
@@ -54,6 +57,7 @@ from symbolic_reference import (
     le,
     lt,
     materialize_finite,
+    orientation_bits,
     scan_first_violation,
     subseteq,
     symbolic_check_tangle,
@@ -424,6 +428,46 @@ def test_check_tangle_rejects_untame(comb_cs):
         check_tangle([sep.orient(True)])
 
 
+def test_check_tangle_of_the_empty_orientation(fixtures):
+    # with its graph the empty orientation gets a verdict: it has no star
+    # but the empty one, whose interior is the whole graph
+    assert check_tangle([], fixtures["comb"]) == TangleVerdict(True)
+    finite = validate({"core": {"vertices": ["a", "b"], "edges": [["a", "b"]]}})
+    assert check_tangle([], finite) == TangleVerdict(False, star=())
+    # without it, nothing says which graph the orientation lives on
+    with pytest.raises(GraphRequiredError):
+        check_tangle([])
+
+
+def test_separation_system_matches_check_tangle(fixtures):
+    # one system per list gives the verdicts and witnesses of check_tangle
+    # on each orientation's members: induced ones, and ones with some
+    # members reversed, which are mostly not tangles
+    verdicts = set()
+    for name in FIXTURE_NAMES:
+        g = fixtures[name]
+        seps = _enumerate_seps(g, 1, 2)
+        system = SeparationSystem(g, seps)
+        for n, xi in enumerate(all_points(g, 2)):
+            toward = system.orient(xi)
+            assert toward == tuple(m.toward_side for m in induced_orientation(xi, seps))
+            flipped = tuple(t != (i % (n + 3) == 0) for i, t in enumerate(toward))
+            for bits in (toward, flipped):
+                verdict = system.check(bits)
+                assert verdict == check_tangle([sep.orient(t) for sep, t in zip(seps, bits)], g)
+                verdicts.add((verdict.ok, verdict.violation is not None, verdict.star is not None))
+    assert verdicts == {(True, False, False), (False, True, False)}
+
+
+def test_separation_system_rejects_untame_orientations(comb_cs):
+    sep = Separation(comb_cs, SymbolicSubset(comb_cs, rules={("pfan", "s1", 0): FamilyRule("even")}))
+    system = SeparationSystem(comb_cs.g, [sep])
+    with pytest.raises(NotTameError):
+        system.check((True,))
+    with pytest.raises(NotTameError):
+        system.orient(end_point("s1"))
+
+
 # ---------------------------------------------------------------------------
 # Corner perturbations
 
@@ -679,7 +723,7 @@ def test_side_bits_match_subseteq(case):
         seps = seps + _parity_seps(g)
     rng = random.Random(case)
     ms = [sep.orient(rng.random() < 0.5) for sep in seps]
-    _, smalls, bigs = _orientation_bits(ms, g)
+    _, smalls, bigs = orientation_bits(ms, g)
     bits = smalls + bigs
     sides = [m.small_set() for m in ms] + [m.big_set() for m in ms]
     disagreements = [
@@ -844,3 +888,27 @@ def test_star_search_takes_the_graphs_features_in_declaration_order():
     verdict = check_tangle(ms, g)
     assert verdict == symbolic_check_tangle(ms, g)
     assert verdict.star == (away["s2"], away["s1"])
+
+
+def test_enumeration_builds_each_kept_separation_once(fixtures, monkeypatch):
+    # a side whose key is that of a side built before, or of its
+    # complement, is skipped before a Separation is built for it
+    built = 0
+    init = Separation.__init__
+
+    def counting(self, *args):
+        nonlocal built
+        built += 1
+        init(self, *args)
+
+    monkeypatch.setattr(Separation, "__init__", counting)
+    seps = _enumerate_seps(fixtures["combo"], 3, 3)
+    assert built == len(seps) == 461
+
+
+def test_enumerated_separations_are_distinct_across_bases(fixtures):
+    # each base X gets its own list, and distinct bases give distinct
+    # separations, so the CLI's list needs no deduplication across them
+    for name in FIXTURE_NAMES:
+        seps = _enumerate_seps(fixtures[name], 2, 3)
+        assert len({sep.underlying_key() for sep in seps}) == len(seps), name
