@@ -440,7 +440,11 @@ def _cmd_distinguish(args) -> int:
 
 def _cmd_export_dot(args) -> int:
     g = _load(args.spec)
-    print(truncation_dot(truncate(g, args.periods, args.copies)), end="")
+    try:
+        fg = truncate(g, args.periods, args.copies)
+    except ValueError as exc:
+        raise CliError(f"BadBounds(periods={args.periods}, copies={args.copies}): {exc}") from None
+    print(truncation_dot(fg), end="")
     return 0
 
 

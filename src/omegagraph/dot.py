@@ -10,9 +10,9 @@ def _q(s: str) -> str:
     return '"' + str(s).replace('"', r"\"") + '"'
 
 
-def truncation_dot(fg: FiniteGraph, name: str = "truncation") -> str:
+def truncation_dot(fg: FiniteGraph) -> str:
     """Undirected DOT; vertices cut off from excluded material are dashed."""
-    lines = [f"graph {_q(name)} {{", "  node [shape=ellipse];"]
+    lines = ['graph "truncation" {', "  node [shape=ellipse];"]
     for v in fg.vertices:
         attrs = ' [style=dashed, color=red]' if v in fg.boundary else ""
         lines.append(f"  {_q(format_vertex(v))}{attrs};")

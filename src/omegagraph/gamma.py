@@ -31,7 +31,7 @@ from .components import (
     handle_sort_key,
     unique_component_meeting,
 )
-from .separations import FamilyRule, PointOfGamma, RULE_FALSE, rule_and, rule_or, rule_singletons
+from .separations import FamilyRule, PointOfGamma, RULE_FALSE, point_filter, rule_and, rule_or, rule_singletons
 
 
 class NotDirectedError(ValueError):
@@ -100,10 +100,10 @@ class FduSpace:
             out.extend(p for p in c.named_members if p[0] == "named")
         return out
 
-    def cluster_of_handle(self, handle: Handle, k: int | None = None):
+    def cluster_of_handle(self, handle: Handle):
         for c in self.clusters:
-            for h, r in c.groups:
-                if h == handle and (k is None or r(k)):
+            for h, _ in c.groups:
+                if h == handle:
                     return c
         return None
 
@@ -378,12 +378,9 @@ def _bonding_f(cs: ComponentSystem, cs_prime: ComponentSystem, src: FduSpace, ds
 
 
 def project(cs: ComponentSystem, xi: PointOfGamma):
-    """The point of the gamma space over X below xi."""
-    if xi.kind == "end":
-        return named_point(cs.tail_descriptor(xi.strip))
-    if xi.Y <= cs.X:
-        return limit_point(xi.Y)
-    return named_point(unique_component_meeting(cs, xi.Y))
+    """The point of the gamma space over X below xi: where its filter lies."""
+    mode, at = point_filter(cs, xi)
+    return limit_point(at) if mode == "cofinite" else named_point(at)
 
 
 def _check_directed(family):

@@ -13,9 +13,9 @@ Points of the limit space (ends and critical vertex sets) orient tame
 separations through their induced filters; ``check_tangle`` verifies
 consistency and the absence of finite-interior stars.  A
 ``SeparationSystem`` holds a list of separations with their sides as
-bitsets over one box of representative vertices, filled from each side's
-description, and checks each orientation of the list on those ints,
-the star search included.
+bitsets over one box of representative vertices, built from the
+component descriptors, and checks each orientation of the list on those
+ints, the star search included.
 """
 
 from __future__ import annotations
@@ -276,8 +276,8 @@ class SymbolicSubset:
 class SymbolicVertexSet:
     """A vertex set given by a finite part, strip tails, and whole copies.
 
-    ``contains`` defines membership; ``_Box.bits`` encodes the same set as
-    an int over one call's box of representative vertices.
+    ``contains`` defines membership: it is the definition that the side
+    ints of a ``SeparationSystem`` are tested against.
     """
 
     g: PatternGraph
@@ -300,8 +300,10 @@ class SymbolicVertexSet:
         return False
 
 
-def _subset_vertex_set(cs: ComponentSystem, subset: SymbolicSubset, rest: SymbolicSubset) -> SymbolicVertexSet:
-    """X together with all vertices of the subset's components; rest is its complement."""
+def _subset_vertex_set(sep: "Separation", of_side: bool) -> SymbolicVertexSet:
+    """X u V[side] (True) or X u V[co-side] (False), built afresh on each call."""
+    cs = sep.cs
+    subset, rest = (sep.side, sep.co_side) if of_side else (sep.co_side, sep.side)
     if rest.is_empty() and not cs.g.is_finite():
         return SymbolicVertexSet(cs.g, is_all=True)
     fin = set(cs.X)
@@ -327,7 +329,7 @@ class Separation:
     """Unoriented separation {X u V[side], X u V[co-side]}.
 
     Its identity (``underlying_key``) and whether it is tame are decided
-    when it is built; only its side vertex sets are filled on demand.
+    when it is built.
     """
 
     def __init__(self, cs: ComponentSystem, side: SymbolicSubset):
@@ -344,14 +346,6 @@ class Separation:
         self._tame = not any(
             side.has_infinite_part_on(Y) and co_side.has_infinite_part_on(Y) for Y in cs.crit()
         )
-        self._svs_cache: dict = {}
-
-    def side_set(self, of_side: bool) -> "SymbolicVertexSet":
-        """X u V[side] (True) or X u V[co-side] (False), cached."""
-        if of_side not in self._svs_cache:
-            subset, rest = (self.side, self.co_side) if of_side else (self.co_side, self.side)
-            self._svs_cache[of_side] = _subset_vertex_set(self.cs, subset, rest)
-        return self._svs_cache[of_side]
 
     def underlying_key(self):
         return self._underlying_key
@@ -382,10 +376,11 @@ class OrientedSeparation:
         return self.sep.side if self.toward_side else self.sep.co_side
 
     def big_set(self) -> SymbolicVertexSet:
-        return self.sep.side_set(self.toward_side)
+        """The big side as a fresh vertex set: the caller owns it."""
+        return _subset_vertex_set(self.sep, self.toward_side)
 
     def small_set(self) -> SymbolicVertexSet:
-        return self.sep.side_set(not self.toward_side)
+        return _subset_vertex_set(self.sep, not self.toward_side)
 
     def reverse(self) -> "OrientedSeparation":
         return OrientedSeparation(self.sep, not self.toward_side)
@@ -431,12 +426,13 @@ class Orientation:
 
 
 class _Box:
-    """Bit positions for the representative vertices of one call's sides.
+    """Bit positions for the representative vertices of one list's sides.
 
-    The box takes every period up to T and every copy up to K + 1, where T
-    exceeds every period and K every copy index that some side names (in its
-    finite part, a tail start, a periodic-fan handle or a rule's flips).  A
-    vertex outside the box lies in exactly the sides that hold its
+    The box takes every period up to T and every copy up to K + 1.  T is
+    the largest stabilization bound of the list's component systems, so
+    every period and copy that an X or a component descriptor names lies
+    below it, and K is at least T and exceeds every flip of a side's rules.
+    A vertex outside the box lies in exactly the sides that hold its
     representative inside: a strip or periodic-fan vertex at a period beyond
     T lies in a side iff the side has that strip's tail, like its period-T
     counterpart, and a copy beyond K + 1 lies in it iff the side's rule
@@ -445,24 +441,19 @@ class _Box:
     exactly, for tame and parity rules alike, and a side is infinite iff it
     meets ``beyond``: period T, or copy K or K + 1 of some family.
 
-    A side's int is filled from its description (``bits``), not vertex by
-    vertex: its finite part's bits, one suffix mask per tail and one mask
-    per rule, which is the rule's base mask with its flipped copies toggled.
+    A side's int is built from its description (``side``), not vertex by
+    vertex: it is the OR of the mask of its X, the mask of each explicit
+    component it holds (its vertices, one suffix mask per tail and one mask
+    per absorbed family) and one mask per rule, which is the rule's base
+    mask with its flipped copies toggled.
     """
 
-    def __init__(self, g: PatternGraph, sides):
-        periods = [0]
-        copies = [0]
-        for svs in sides:
-            for v in svs.finite:
-                periods.append(v.t)
-                copies.append(v.k)
-            periods.extend(svs.tails.values())
-            for h, r in svs.copies.items():
-                if h[0] == "pfan":
-                    periods.append(h[2])
-                copies.extend(r.flips)
-        T, K = max(periods) + 1, max(copies) + 1
+    def __init__(self, g: PatternGraph, seps):
+        systems = dict.fromkeys(sep.cs for sep in seps)
+        T = max((cs.stabilization_bound for cs in systems), default=1)
+        K = max([T] + [
+            k + 1 for sep in seps for subset in (sep.side, sep.co_side) for r in subset.rules.values() for k in r.flips
+        ])
         self.T, self.K = T, K
         self.bit: dict[VertexId, int] = {}
         self.tail: dict[str, list[int]] = {}  # strip id -> mask of periods t..T, per start t
@@ -485,6 +476,8 @@ class _Box:
             for h, ms in self.copy.items()
         }
         self.beyond = sum(self.tail_feature(s.id) for s in g.strips) | sum(map(self.family_feature, self.copy))
+        self.x = {cs: sum(map(self.bit.__getitem__, cs.X)) for cs in systems}
+        self.component = {d.key(): self._component(d) for cs in systems for d in cs.explicit_descriptors}
 
     def _place(self, vertices: list) -> int:
         """Give the vertices the next free bits; returns their mask."""
@@ -497,6 +490,31 @@ class _Box:
         self.copy[handle] = [self._place([vertex(k, l) for l in locals_]) for k in range(self.K + 2)]
         return sum(self.copy[handle])
 
+    def _component(self, d) -> int:
+        """The vertices of an explicit component: its own, its tails and its families."""
+        mask = sum(map(self.bit.__getitem__, d.vertices))
+        for seg in d.tails:
+            mask |= self.tail[seg.strip][seg.start]
+        for h, excl in d.families:
+            mask |= self.rule(h, FamilyRule("true", excl))
+        return mask
+
+    def rule(self, handle: Handle, r: FamilyRule) -> int:
+        """The copies of the family that the rule holds."""
+        mask, copies = self.base[handle][r.base], self.copy[handle]
+        for k in r.flips:
+            mask ^= copies[k]
+        return mask
+
+    def side(self, cs: ComponentSystem, subset: SymbolicSubset) -> int:
+        """X u V[subset] as an int whose bit i says whether it holds box vertex i."""
+        out = self.x[cs]
+        for key in subset.explicit_in:
+            out |= self.component[key]
+        for h, r in subset.rules.items():
+            out |= self.rule(h, r)
+        return out
+
     def tail_feature(self, strip_id: str) -> int:
         """Period T of the strip: a side meets it iff it holds the strip's tail."""
         return self.tail[strip_id][self.T]
@@ -505,28 +523,6 @@ class _Box:
         """Copies K and K + 1: a tame side meets them iff it holds infinitely many copies."""
         copies = self.copy[handle]
         return copies[self.K] | copies[self.K + 1]
-
-    def bits(self, svs: SymbolicVertexSet) -> int:
-        """The side as an int whose bit i says whether it holds box vertex i."""
-        if svs.is_all:
-            return self.everything
-        out = 0
-        for v in svs.finite:
-            out |= self.bit[v]
-        for s, start in svs.tails.items():
-            out |= self.tail[s][start]
-        for h, r in svs.copies.items():
-            mask, copies = self.base[h][r.base], self.copy[h]
-            for k in r.flips:
-                mask ^= copies[k]
-            out |= mask
-        return out
-
-
-def _side_bits(g: PatternGraph, sides: list[SymbolicVertexSet]) -> list[int]:
-    """Each side as an int over one box (see ``_Box``), which lives for this call only."""
-    box = _Box(g, sides)
-    return [box.bits(svs) for svs in sides]
 
 
 def _first_violation(smalls: list[int], bigs: list[int]):
@@ -684,14 +680,20 @@ class SeparationSystem:
 
     def __post_init__(self):
         seps = tuple(self.seps)
-        sides = [sep.side_set(of_side) for sep in seps for of_side in (False, True)]
-        box = _Box(self.g, sides)
-        bits = [box.bits(svs) for svs in sides]
-        # the star search's features below the root (see ``check``)
+        box = _Box(self.g, seps)
+        sides = [(sep.cs, subset) for sep in seps for subset in (sep.co_side, sep.side)]
+        bits = [box.side(cs, subset) for cs, subset in sides]
+        # the star search's features below the root (see ``check``): the
+        # families a side holds copies of, through its components or its rules
+        named = [
+            {h for key in subset.explicit_in for h, _ in cs.descriptor(key).families}
+            | {h for h, r in subset.rules.items() if not r.is_empty()}
+            for cs, subset in sides
+        ]
         strips = sorted(s.id for s in self.g.strips)
-        handles = sorted({h for svs in sides for h in svs.copies}, key=handle_sort_key)
+        handles = sorted(set().union(*named), key=handle_sort_key)
         index = {h: len(strips) + n for n, h in enumerate(handles)}
-        names = [sum(1 << index[h] for h in svs.copies) for svs in sides]
+        names = [sum(1 << index[h] for h in hs) for hs in named]
         built = {
             "seps": seps,
             "box": box,
@@ -819,13 +821,6 @@ def _defining_vertices(g: PatternGraph, xi: PointOfGamma, h: int) -> frozenset:
     return frozenset(out)
 
 
-def _gamma_image(cs: ComponentSystem, xi: PointOfGamma):
-    mode, payload = point_filter(cs, xi)
-    if mode == "cofinite":
-        return ("limit", payload)
-    return ("comp", payload.key())
-
-
 def distinguish(g: PatternGraph, xi1: PointOfGamma, xi2: PointOfGamma, max_horizon: int | None = None) -> Separation:
     """A tame separation the two points orient oppositely.
 
@@ -843,15 +838,15 @@ def distinguish(g: PatternGraph, xi1: PointOfGamma, xi2: PointOfGamma, max_horiz
     for h in range(max_horizon + 1):
         X = _defining_vertices(g, xi1, h) | _defining_vertices(g, xi2, h)
         cs = delete(g, X)
-        img1, img2 = _gamma_image(cs, xi1), _gamma_image(cs, xi2)
-        if img1 == img2:
+        f1, f2 = point_filter(cs, xi1), point_filter(cs, xi2)
+        if f1 == f2:
             continue
-        if img1[0] == "limit":
-            side = SymbolicSubset.family_side(cs, img1[1])
-        elif img2[0] == "limit":
-            side = SymbolicSubset.family_side(cs, img2[1])
+        if f1[0] == "cofinite":
+            side = SymbolicSubset.family_side(cs, f1[1])
+        elif f2[0] == "cofinite":
+            side = SymbolicSubset.family_side(cs, f2[1])
         else:
-            side = SymbolicSubset(cs, explicit_in={img1[1]})
+            side = SymbolicSubset(cs, explicit_in={f1[1].key()})
         sep = Separation(cs, side)
         o1, o2 = orient_by_point(xi1, sep), orient_by_point(xi2, sep)
         if o1.toward_side == o2.toward_side:
@@ -863,37 +858,39 @@ def distinguish(g: PatternGraph, xi1: PointOfGamma, xi2: PointOfGamma, max_horiz
 # ---------------------------------------------------------------------------
 # Enumeration and perturbation helpers
 
-def enumerate_tame_separations(cs: ComponentSystem, max_copy: int = 2, max_explicit_subset: int = 6):
+_MAX_COPY = 2  # copies per family that the enumerator moves one at a time
+_MAX_EXPLICIT_SUBSET = 6  # up to this many explicit components, every subset is a side
+
+
+def enumerate_tame_separations(cs: ComponentSystem):
     """Deterministic sample of tame separations over a fixed deletion.
 
     Sides: subsets of explicit components, single fan copies, full
     families per critical neighbourhood, and cofinite family sides with
-    small exception sets.
+    small exception sets.  Each of them is tame by construction, so an
+    untame one raises ``InvariantError``.
     """
     sides: list[SymbolicSubset] = []
     explicit = [d.key() for d in cs.explicit_descriptors]
-    if len(explicit) <= max_explicit_subset:
+    # the first _MAX_COPY copies of each family that X leaves whole
+    usable = {
+        d.handle(): [k for k in range(_MAX_COPY + len(d.excluded())) if k not in d.excluded()][:_MAX_COPY]
+        for d in cs.family_descriptors
+    }
+    if len(explicit) <= _MAX_EXPLICIT_SUBSET:
         for r in range(len(explicit) + 1):
             for combo in itertools.combinations(explicit, r):
                 sides.append(SymbolicSubset(cs, explicit_in=combo))
     else:
         sides.append(SymbolicSubset.empty(cs))
         sides.extend(SymbolicSubset(cs, explicit_in={k}) for k in explicit)
-    for d in cs.family_descriptors:
-        h = d.handle()
-        usable = [k for k in range(max_copy + len(d.excluded()) + 1) if k not in d.excluded()][:max_copy]
-        for k in usable:
-            sides.append(SymbolicSubset(cs, rules={h: rule_singletons([k])}))
+    for h, ks in usable.items():
+        sides.extend(SymbolicSubset(cs, rules={h: rule_singletons([k])}) for k in ks)
     for Y in sorted(cs.crit(), key=lambda Y: tuple(sorted(v.sort_key() for v in Y))):
         base = SymbolicSubset.family_side(cs, Y)
         sides.append(base)
-        for d in cs.family_descriptors:
-            if d.neighborhood != Y:
-                continue
-            h = d.handle()
-            usable = [k for k in range(max_copy + len(d.excluded()) + 1) if k not in d.excluded()][:max_copy]
-            for k in usable:
-                sides.append(base.with_member_toggled(h, k))
+        for d in cs.family(Y).families:
+            sides.extend(base.with_member_toggled(d.handle(), k) for k in usable[d.handle()])
         for key in explicit:
             sides.append(base.with_explicit_toggled(key))
     # two sides give one separation iff they are equal or complementary,
@@ -904,9 +901,10 @@ def enumerate_tame_separations(cs: ComponentSystem, max_copy: int = 2, max_expli
         if side.key() in seen:
             continue
         sep = Separation(cs, side)
+        if not sep.is_tame():
+            raise InvariantError(f"the enumerator built an untame side over {sorted(map(str, cs.X))}")
         seen.update((side.key(), sep.co_side.key()))
-        if is_tame(sep):
-            seps.append(sep)
+        seps.append(sep)
     seps.sort(key=lambda s: s.underlying_key()[0] + tuple(s.side.key()))
     return seps
 

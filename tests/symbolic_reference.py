@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 
 from omegagraph.components import InvariantError, copy_vertices, handle_sort_key
-from omegagraph.ids import core, fanv, pfanv, stripv
+from omegagraph.ids import core, stripv
 from omegagraph.separations import (
     RULE_FALSE,
     RULE_TRUE,
@@ -262,30 +262,6 @@ def scan_first_violation(smalls: list[int], bigs: list[int]):
     return None
 
 
-def contains_side_bits(g, sides) -> list[int]:
+def contains_side_bits(box, sides) -> list[int]:
     """Each side's int over the box, one ``contains`` call per box vertex and side."""
-    periods = [0]
-    copies = [0]
-    for svs in sides:
-        for v in svs.finite:
-            periods.append(v.t)
-            copies.append(v.k)
-        periods.extend(svs.tails.values())
-        for h, r in svs.copies.items():
-            if h[0] == "pfan":
-                periods.append(h[2])
-            copies.extend(r.flips)
-    T, K = max(periods) + 1, max(copies) + 1
-    box = [core(c) for c in g.core_vertices]
-    for s in g.strips:
-        for t in range(T + 1):
-            box.extend(stripv(s.id, t, l) for l in s.locals)
-            if s.periodic_fan:
-                box.extend(pfanv(s.id, t, k, l) for k in range(K + 2) for l in s.periodic_fan.locals)
-    for f in g.fans:
-        box.extend(fanv(f.id, k, l) for k in range(K + 2) for l in f.locals)
-    everything = (1 << len(box)) - 1
-    return [
-        everything if svs.is_all else sum(1 << i for i, v in enumerate(box) if svs.contains(v))
-        for svs in sides
-    ]
+    return [sum(bit for v, bit in box.bit.items() if svs.contains(v)) for svs in sides]

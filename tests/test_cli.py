@@ -9,7 +9,7 @@ import pytest
 
 from omegagraph import cli
 from omegagraph.cli import main
-from omegagraph.fixture_graphs import fixture_path
+from omegagraph.fixture_graphs import combo, fixture_path
 from omegagraph.pattern import validate, to_raw
 
 
@@ -211,6 +211,13 @@ def test_export_dot(capsys):
     assert '"core:c" [style=dashed' in out
 
 
+def test_export_dot_rejects_negative_bounds(capsys):
+    for flag, value in (("--periods", "-1"), ("--copies", "-2")):
+        code, out, err = run(capsys, "export-dot", SPEC["star"], flag, value)
+        assert (code, out) == (1, ""), flag
+        assert err.startswith("BadBounds(") and err.count("\n") == 1, err
+
+
 def test_report_full(capsys):
     code, out, _ = run(capsys, "report", SPEC["comb"], "--json", "--horizon", "1")
     assert code == 0
@@ -301,6 +308,32 @@ def test_report_builds_one_box_per_separation_list(capsys, monkeypatch):
     code, out, _ = run(capsys, "report", "--json", SPEC["combo"], "--horizon", "8")
     assert code == 0 and len(json.loads(out)["tangles"]) > 1
     assert boxes == 1
+
+
+def test_report_and_check_tangle_build_no_side_vertex_sets(capsys, monkeypatch):
+    # side ints come from the component descriptors, not from vertex sets
+    from omegagraph import separations
+
+    calls = 0
+    build = separations._subset_vertex_set
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return build(*args)
+
+    monkeypatch.setattr(separations, "_subset_vertex_set", counting)
+    for argv in (
+        ("report", SPEC["combo"], "--json", "--horizon", "8"),
+        ("check-tangle", SPEC["combo"], "--json", "--point", "end:s1", "--horizon", "3", "--seps", "auto:3"),
+    ):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out, argv
+    assert calls == 0
+    # the count is live: a side vertex set asked for is built through it
+    sep = cli._enumerate_seps(combo(), 0, 0)[0]
+    sep.orient(True).big_set()
+    assert calls == 1
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,16 @@
 
 import functools
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import omegagraph
 from omegagraph import fixture_graphs
 from omegagraph.cli import _enumerate_seps
 from omegagraph.components import InvariantError, delete
@@ -45,7 +49,7 @@ from omegagraph.separations import (
     rule_subset,
     toward_components,
 )
-from omegagraph.separations import SymbolicVertexSet, _first_violation, _side_bits
+from omegagraph.separations import SymbolicVertexSet, _first_violation
 from conftest import FIXTURE_NAMES, random_pattern, vertex_pool
 from symbolic_reference import (
     NotAStarError,
@@ -155,7 +159,7 @@ def test_sides_live_over_one_graph(fixtures):
     # an equal graph built again is the same base
     again = delete(validate(to_raw(fixtures["comb"])), [])
     assert SymbolicSubset.empty(again) == SymbolicSubset.empty(comb)
-    assert Separation(comb, SymbolicSubset.full(again)).side_set(True).is_all
+    assert Separation(comb, SymbolicSubset.full(again)).orient(True).big_set().is_all
 
 
 def test_tame_subset_ops_stay_cofinite_or_finite(comb_cs):
@@ -645,18 +649,80 @@ def test_two_fans_sharing_a_neighborhood(fixtures):
     assert verdict.ok
 
 
-def test_tangle_check_keeps_no_side_sets_alive(fixtures):
-    import gc
-    import weakref
+def _state(sep):
+    """A separation's attributes, with the contents of any dict among them."""
+    return {name: dict(value) if isinstance(value, dict) else value for name, value in vars(sep).items()}
 
-    from omegagraph.cli import _enumerate_seps
 
-    seps = _enumerate_seps(fixtures["combo"], 2, 3)
-    assert check_tangle(induced_orientation(end_point("s1"), seps), fixtures["combo"]).ok
-    refs = [weakref.ref(seps[0].side_set(True)), weakref.ref(seps[0].side_set(False))]
-    del seps
-    gc.collect()
-    assert [r() for r in refs] == [None, None]
+def test_tangle_checks_leave_separations_unchanged(fixtures):
+    g = fixtures["combo"]
+    seps = _enumerate_seps(g, 2, 3)
+    before = [_state(sep) for sep in seps]
+    system = SeparationSystem(g, seps)
+    o = induced_orientation(end_point("s1"), seps)
+    assert system.check(system.orient(end_point("s1"))).ok
+    assert check_tangle(o, g).ok and is_consistent(o) == (True, None)
+    for m in o:
+        m.big_set()
+        m.small_set()
+    assert [_state(sep) for sep in seps] == before
+
+
+def test_changing_a_returned_side_set_changes_no_verdict(fixtures):
+    # big_set builds a fresh set for its caller: clearing it touches no
+    # separation, so a later check of the same list sees the same sides
+    g = fixtures["combo"]
+    seps = _enumerate_seps(g, 2, 3)
+    verdict = check_tangle(induced_orientation(end_point("s1"), seps), g)
+    assert verdict.ok
+    for m in induced_orientation(end_point("s1"), seps):
+        svs = m.big_set()
+        svs.tails.clear()
+        svs.copies.clear()
+    assert check_tangle(induced_orientation(end_point("s1"), seps), g) == verdict
+
+
+def test_enumerator_raises_on_an_untame_side(comb_cs, monkeypatch):
+    # every enumerated side is tame by construction: an untame one is a
+    # bug to report, not a side to drop
+    def parity_side(cs, Y):
+        return SymbolicSubset(cs, rules={d.handle(): FamilyRule("even") for d in cs.family(Y).families})
+
+    monkeypatch.setattr(SymbolicSubset, "family_side", staticmethod(parity_side))
+    with pytest.raises(InvariantError, match="untame"):
+        enumerate_tame_separations(comb_cs)
+
+
+_UNDER_O = """
+import sys
+from omegagraph.components import InvariantError, delete
+from omegagraph.fixture_graphs import comb
+from omegagraph.ids import stripv
+from omegagraph.separations import FamilyRule, SymbolicSubset, enumerate_tame_separations
+
+cs = delete(comb(), {stripv("s1", 0, "p")})
+SymbolicSubset.family_side = staticmethod(
+    lambda cs, Y: SymbolicSubset(cs, rules={d.handle(): FamilyRule("even") for d in cs.family(Y).families})
+)
+for name, call in (
+    ("untame side", lambda: enumerate_tame_separations(cs)),
+    ("unknown component", lambda: SymbolicSubset(cs, explicit_in={"no such key"})),
+):
+    try:
+        call()
+    except InvariantError:
+        print(name, "raised")
+print("optimize", sys.flags.optimize)
+"""
+
+
+def test_invariants_hold_under_python_O():
+    # invariants raise explicitly, so stripping asserts does not drop them
+    src = os.path.dirname(os.path.dirname(omegagraph.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-O", "-c", _UNDER_O], capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["untame side raised", "unknown component raised", "optimize 1"]
 
 
 # ---------------------------------------------------------------------------
@@ -708,12 +774,13 @@ _CASES = [*FIXTURE_NAMES, *(f"random{seed}" for seed in range(30))]
 
 @pytest.mark.parametrize("case", _CASES)
 def test_side_bits_match_contains_on_the_box(case):
-    # filled from each side's description, bit for bit as one contains call per box vertex
+    # built from the component descriptors, bit for bit as one contains call per box vertex
     g, seps = _graph_and_seps(case)
     if case in ("comb", "combo"):
         seps = seps + _parity_seps(g)
-    sides = [sep.side_set(of_side) for sep in seps for of_side in (True, False)]
-    assert _side_bits(g, sides) == contains_side_bits(g, sides)
+    system = SeparationSystem(g, seps)
+    sides = [sep.orient(of_side).big_set() for sep in seps for of_side in (False, True)]
+    assert [bits for pair in system.ints for bits in pair] == contains_side_bits(system.box, sides)
 
 
 @pytest.mark.parametrize("case", _CASES)
@@ -735,13 +802,16 @@ def test_side_bits_match_subseteq(case):
 
 
 def test_side_bits_see_past_the_last_named_period(fixtures):
-    # only vertices beyond every named period tell the tail from period 1
-    # apart from its first vertex
+    # only vertices beyond every named period tell the side holding the
+    # tail from period 1 apart from the side holding periods 0 to 2
     g = fixtures["ray"]
-    sides = [SymbolicVertexSet(g, tails={"s1": 1}), SymbolicVertexSet(g, frozenset({P(1)}))]
-    tail, first = _side_bits(g, sides)
-    assert tail & ~first and not subseteq(sides[0], sides[1])
-    assert not first & ~tail and subseteq(sides[1], sides[0])
+    cs1, cs2 = delete(g, {P(0)}), delete(g, {P(0), P(2)})
+    tail = Separation(cs1, SymbolicSubset(cs1, explicit_in={cs1.tail_descriptor("s1").key()}))
+    first = Separation(cs2, SymbolicSubset(cs2, explicit_in={cs2.locate(P(1)).key()}))
+    (_, tail_bits), (_, first_bits) = SeparationSystem(g, [tail, first]).ints
+    tail_set, first_set = tail.orient(True).big_set(), first.orient(True).big_set()
+    assert tail_bits & ~first_bits and not subseteq(tail_set, first_set)
+    assert not first_bits & ~tail_bits and subseteq(first_set, tail_set)
 
 
 @pytest.mark.parametrize("case", _CASES)
