@@ -2,7 +2,7 @@
 
 Core entry points:
 
-* ``pattern.validate`` / ``pattern.load``: build a PatternGraph from JSON.
+* ``pattern.validate``: build a PatternGraph from parsed JSON.
 * ``components.delete``: exact symbolic components of G - X.
 * ``separations``: tame separations, induced orientations, tangle checks.
 * ``gamma``: the component compactifications and their inverse system.

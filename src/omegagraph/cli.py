@@ -87,10 +87,6 @@ def _separation_json(sep) -> dict:
     }
 
 
-def _point_token(xi) -> str:
-    return str(xi)
-
-
 def _parse_point(g: PatternGraph, token: str):
     if token.startswith("end:"):
         sid = token[4:]
@@ -228,7 +224,7 @@ def _tangle_json(system, xi, max_base: int, horizon: int) -> dict:
     """Tangle verdict of xi over the system, enumerated with (max_base, horizon)."""
     verdict = system.check(system.orient(xi))
     out = {
-        "point": _point_token(xi),
+        "point": str(xi),
         "bounds": {"max_base_size": max_base, "period_horizon": horizon},
         "separations": len(system.seps),
         "ok": verdict.ok,
@@ -259,7 +255,7 @@ def _distinguish_json(g: PatternGraph, xi1, xi2) -> dict:
     sep = _separations.distinguish(g, xi1, xi2)
     o1 = _separations.orient_by_point(xi1, sep)
     return {
-        "points": [_point_token(xi1), _point_token(xi2)],
+        "points": [str(xi1), str(xi2)],
         "separation": _separation_json(sep),
         "first_point_toward_side": o1.toward_side,
     }
@@ -326,42 +322,36 @@ def _render_text(obj, indent=0) -> str:
 # ---------------------------------------------------------------------------
 # Subcommands
 
-def _cmd_analyze(args) -> int:
-    g = _load(args.spec)
+def _cmd_analyze(g: PatternGraph, args) -> int:
     report = _analysis_report(g, args, full=False)
     _emit(report, args)
     return 0 if report["gamma_system"]["ok"] else 2
 
 
-def _cmd_report(args) -> int:
-    g = _load(args.spec)
+def _cmd_report(g: PatternGraph, args) -> int:
     report = _analysis_report(g, args, full=True)
     _emit(report, args)
     bad = not report["gamma_system"]["ok"] or any(not t["ok"] for t in report["tangles"])
     return 2 if bad else 0
 
 
-def _cmd_components(args) -> int:
-    g = _load(args.spec)
+def _cmd_components(g: PatternGraph, args) -> int:
     X = _parse_vertices(g, args.delete or "")
     _emit(_components_json(_components.delete(g, X)), args)
     return 0
 
 
-def _cmd_critical(args) -> int:
-    g = _load(args.spec)
+def _cmd_critical(g: PatternGraph, args) -> int:
     _emit(_critical_json(g, args.max_size, args.horizon), args)
     return 0
 
 
-def _cmd_classify(args) -> int:
-    g = _load(args.spec)
+def _cmd_classify(g: PatternGraph, args) -> int:
     _emit(_classification_json(g), args)
     return 0
 
 
-def _cmd_limit(args) -> int:
-    g = _load(args.spec)
+def _cmd_limit(g: PatternGraph, args) -> int:
     family = _parse_family(g, args.family)
     try:
         css, maps = _gamma.build_system(g, family)
@@ -373,7 +363,7 @@ def _cmd_limit(args) -> int:
         "horizon": args.horizon,
         "points": [
             {
-                "point": _point_token(xi),
+                "point": str(xi),
                 "thread": {
                     "{" + ",".join(_tokens(X)) + "}": _point_json(pt, css[X])
                     for X, pt in sorted(
@@ -409,8 +399,7 @@ def _point_json(pt, cs) -> str:
     return "component:" + _desc_brief(cs.descriptor(pt[1]))
 
 
-def _cmd_check_tangle(args) -> int:
-    g = _load(args.spec)
+def _cmd_check_tangle(g: PatternGraph, args) -> int:
     xi = _parse_point(g, args.point)
     kind, _, size = args.seps.partition(":")
     try:
@@ -425,8 +414,7 @@ def _cmd_check_tangle(args) -> int:
     return 0 if out["ok"] else 2
 
 
-def _cmd_distinguish(args) -> int:
-    g = _load(args.spec)
+def _cmd_distinguish(g: PatternGraph, args) -> int:
     xi1 = _parse_point(g, args.a)
     xi2 = _parse_point(g, args.b)
     try:
@@ -438,8 +426,7 @@ def _cmd_distinguish(args) -> int:
     return 0
 
 
-def _cmd_export_dot(args) -> int:
-    g = _load(args.spec)
+def _cmd_export_dot(g: PatternGraph, args) -> int:
     try:
         fg = truncate(g, args.periods, args.copies)
     except ValueError as exc:
@@ -448,15 +435,12 @@ def _cmd_export_dot(args) -> int:
     return 0
 
 
-def _common_parser() -> argparse.ArgumentParser:
-    """The arguments every subcommand takes, as a parent parser."""
-    p = argparse.ArgumentParser(add_help=False)
-    p.add_argument("spec", help="path to a pattern graph JSON file")
-    p.add_argument("--json", action="store_true", help="emit canonical JSON")
-    p.add_argument("--seed", type=int, default=0, help="seed recorded in reports")
-    p.add_argument("--horizon", type=int, default=2, help="period horizon for enumerations")
-    p.add_argument("--copies", type=int, default=3, help="fan copy bound for truncations")
-    return p
+# The options that several subcommands take; each subcommand declares the ones it reads.
+_OPTIONS = {
+    "--json": dict(action="store_true", help="emit canonical JSON"),
+    "--seed": dict(type=int, default=0, help="seed recorded in reports"),
+    "--horizon": dict(type=int, default=2, help="period horizon for enumerations"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -467,42 +451,41 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = ap.add_subparsers(dest="command", required=True)
-    common = _common_parser()
 
-    p = sub.add_parser("analyze", help="classification, critical sets, gamma system check", parents=[common])
-    p.set_defaults(fn=_cmd_analyze)
+    def command(name, fn, help, *options) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        p.add_argument("spec", help="path to a pattern graph JSON file")
+        for flag in options:
+            p.add_argument(flag, **_OPTIONS[flag])
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("report", help="full analysis report including tangles", parents=[common])
-    p.set_defaults(fn=_cmd_report)
+    command("analyze", _cmd_analyze, "classification, critical sets, gamma system check",
+            "--json", "--seed", "--horizon")
+    command("report", _cmd_report, "full analysis report including tangles", "--json", "--seed", "--horizon")
 
-    p = sub.add_parser("components", help="components of G - X", parents=[common])
+    p = command("components", _cmd_components, "components of G - X", "--json")
     p.add_argument("--delete", default="", help="comma-separated vertex tokens")
-    p.set_defaults(fn=_cmd_components)
 
-    p = sub.add_parser("critical", help="enumerate critical vertex sets", parents=[common])
+    p = command("critical", _cmd_critical, "enumerate critical vertex sets", "--json", "--horizon")
     p.add_argument("--max-size", type=int, default=4)
-    p.set_defaults(fn=_cmd_critical)
 
-    p = sub.add_parser("classify", help="tough / end-tough trichotomy", parents=[common])
-    p.set_defaults(fn=_cmd_classify)
+    command("classify", _cmd_classify, "tough / end-tough trichotomy", "--json")
 
-    p = sub.add_parser("limit", help="limit points over a directed family", parents=[common])
+    p = command("limit", _cmd_limit, "limit points over a directed family", "--json", "--horizon")
     p.add_argument("--family", required=True, help='e.g. "{};{strip:s1/0/p}"')
-    p.set_defaults(fn=_cmd_limit)
 
-    p = sub.add_parser("check-tangle", help="verify a point's induced orientation", parents=[common])
+    p = command("check-tangle", _cmd_check_tangle, "verify a point's induced orientation", "--json", "--horizon")
     p.add_argument("--point", required=True, help="end:s1 or crit:{core:a}")
     p.add_argument("--seps", default="auto:1", help="auto:<max base size>")
-    p.set_defaults(fn=_cmd_check_tangle)
 
-    p = sub.add_parser("distinguish", help="separate two limit points", parents=[common])
+    p = command("distinguish", _cmd_distinguish, "separate two limit points", "--json")
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
-    p.set_defaults(fn=_cmd_distinguish)
 
-    p = sub.add_parser("export-dot", help="DOT of a truncation", parents=[common])
+    p = command("export-dot", _cmd_export_dot, "DOT of a truncation")
     p.add_argument("--periods", type=int, default=3)
-    p.set_defaults(fn=_cmd_export_dot)
+    p.add_argument("--copies", type=int, default=3, help="fan copy bound for truncations")
 
     return ap
 
@@ -514,7 +497,7 @@ _parser = functools.cache(build_parser)
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.fn(args)
+        return args.fn(_load(args.spec), args)
     except CliError as exc:
         print(str(exc), file=sys.stderr)
         return exc.code

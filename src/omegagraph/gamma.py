@@ -31,7 +31,16 @@ from .components import (
     handle_sort_key,
     unique_component_meeting,
 )
-from .separations import FamilyRule, PointOfGamma, RULE_FALSE, point_filter, rule_and, rule_or, rule_singletons
+from .separations import (
+    FamilyRule,
+    PointOfGamma,
+    RULE_FALSE,
+    all_points,
+    point_filter,
+    rule_and,
+    rule_or,
+    rule_singletons,
+)
 
 
 class NotDirectedError(ValueError):
@@ -77,42 +86,39 @@ class FduSpace:
     isolated: tuple = ()  # points
     clusters: tuple = ()
 
+    def __post_init__(self):
+        # built once; attributes, not fields, so ==, hash and repr ignore them
+        rules: dict[Handle, FamilyRule] = {}
+        cluster_of: dict[Handle, Cluster] = {}
+        finite = list(self.isolated)
+        for p in self.isolated:
+            if p[0] == "member":
+                rules[p[1]] = rule_or(rules.get(p[1], RULE_FALSE), rule_singletons([p[2]]))
+        for c in self.clusters:
+            finite.extend(c.named_members)
+            for h, r in c.groups:
+                rules[h] = rule_or(rules.get(h, RULE_FALSE), r)
+                cluster_of.setdefault(h, c)
+        object.__setattr__(self, "_rules", {h: rules[h] for h in sorted(rules, key=handle_sort_key)})
+        object.__setattr__(self, "_cluster_of", cluster_of)
+        object.__setattr__(self, "_finite", tuple(finite))
+
     def membership_rule(self, handle: Handle) -> FamilyRule:
         """Which copies of handle are points of this space."""
-        rule = rule_singletons(
-            p[2] for p in self.isolated if p[0] == "member" and p[1] == handle
-        )
-        for c in self.clusters:
-            for h, r in c.groups:
-                if h == handle:
-                    rule = rule_or(rule, r)
-        return rule
+        return self._rules.get(handle, RULE_FALSE)
 
-    def handles(self):
-        out = {p[1] for p in self.isolated if p[0] == "member"}
-        for c in self.clusters:
-            out |= {h for h, _ in c.groups}
-        return sorted(out, key=handle_sort_key)
+    def handles(self) -> list:
+        return list(self._rules)
 
-    def named_points(self):
-        out = [p for p in self.isolated if p[0] == "named"]
-        for c in self.clusters:
-            out.extend(p for p in c.named_members if p[0] == "named")
-        return out
+    def named_points(self) -> list:
+        return [p for p in self._finite if p[0] == "named"]
 
     def cluster_of_handle(self, handle: Handle):
-        for c in self.clusters:
-            for h, _ in c.groups:
-                if h == handle:
-                    return c
-        return None
+        return self._cluster_of.get(handle)
 
-    def finite_points(self):
+    def finite_points(self) -> tuple:
         """All isolated points plus cluster named members (no group members)."""
-        out = list(self.isolated)
-        for c in self.clusters:
-            out.extend(c.named_members)
-        return out
+        return self._finite
 
 
 def gamma_space(cs: ComponentSystem) -> FduSpace:
@@ -199,16 +205,6 @@ def compose(outer: FduMap, inner: FduMap) -> FduMap:
 
 def maps_equal(m1: FduMap, m2: FduMap) -> bool:
     """Extensional equality on all representable points of the source."""
-    return _maps_equal(m1, m2, _membership_rules(m1.src))
-
-
-def _membership_rules(space: FduSpace) -> dict:
-    """{handle: membership_rule} over the handles of space, in handles() order."""
-    return {h: space.membership_rule(h) for h in space.handles()}
-
-
-def _maps_equal(m1: FduMap, m2: FduMap, memberships: dict) -> bool:
-    """maps_equal with the membership rules of m1.src already built."""
     if m1.src != m2.src:
         return False
     for p in m1.src.finite_points():
@@ -222,7 +218,8 @@ def _maps_equal(m1: FduMap, m2: FduMap, memberships: dict) -> bool:
         for p in m.exceptions:
             if p[0] == "member":
                 exceptional.setdefault(p[1], set()).add(p[2])
-    for h, membership in memberships.items():
+    for h in m1.src.handles():
+        membership = m1.src.membership_rule(h)
         r1, r2 = m1.handle_rules.get(h), m2.handle_rules.get(h)
         probes = exceptional.get(h, set())
         if r1 != r2:
@@ -427,9 +424,9 @@ def build_system(g: PatternGraph, family):
 def verify_system(css: dict, maps: dict) -> SystemReport:
     """Functoriality, agreement with component bonding, and continuity.
 
-    Each set's label and condition-(1) probes, each pair's label, the sets
-    above each set and each source space's membership rules are built once
-    per call; each functoriality verdict is compose plus maps_equal.
+    Each set's label and condition-(1) probes, each pair's label and the
+    sets above each set are built once per call; each functoriality
+    verdict is compose plus maps_equal.
     """
     report = SystemReport()
     sets = sorted(css, key=lambda X: (len(X), tuple(sorted(v.sort_key() for v in X))))
@@ -458,20 +455,14 @@ def verify_system(css: dict, maps: dict) -> SystemReport:
                 detail = f"family {h} member {probe.k} disagrees with component inclusion"
         report.record("condition1", pair_labels[(Xs, Xt)], ok, detail)
     above = {X: [Y for Y in sets if X <= Y] for X in sets}
-    memberships = {}  # id of a source space -> its membership rules; maps keeps each space alive
     for Xi in sets:
         for Xj in above[Xi]:
             for Xk in above[Xj]:
                 if (Xk, Xj) in maps:
-                    lhs = maps[(Xk, Xi)]
-                    rhs = compose(maps[(Xj, Xi)], maps[(Xk, Xj)])
-                    rules = memberships.get(id(lhs.src))
-                    if rules is None:
-                        rules = memberships[id(lhs.src)] = _membership_rules(lhs.src)
                     report.record(
                         "functoriality",
                         f"{names[Xi]} <= {names[Xj]} <= {names[Xk]}",
-                        _maps_equal(lhs, rhs, rules),
+                        maps_equal(maps[(Xk, Xi)], compose(maps[(Xj, Xi)], maps[(Xk, Xj)])),
                     )
     return report
 
@@ -500,8 +491,6 @@ def limit_points(g: PatternGraph, family, horizon: int):
 
 def _threads(g: PatternGraph, css: dict, maps: dict, horizon: int):
     """limit_points over a system that build_system already built."""
-    from .separations import all_points
-
     out = []
     for xi in all_points(g, horizon):
         thread = {X: project(cs, xi) for X, cs in css.items()}

@@ -22,7 +22,6 @@ constructed and never mutated.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -456,11 +455,6 @@ def to_raw(g: PatternGraph) -> dict:
         "fans": [fan_raw(f) for f in g.fans],
         "dominations": [{"core": d, "strip": s} for d, s in g.dominations],
     }
-
-
-def load(path) -> PatternGraph:
-    with open(path) as fh:
-        return validate(json.load(fh))
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 
 from .ids import VertexId, core, fanv, pfanv, stripv
 from .pattern import PatternGraph
+from . import classify as _classify
 from .components import (
     ComponentSystem,
     CXFamily,
@@ -430,8 +431,9 @@ class _Box:
 
     The box takes every period up to T and every copy up to K + 1.  T is
     the largest stabilization bound of the list's component systems, so
-    every period and copy that an X or a component descriptor names lies
-    below it, and K is at least T and exceeds every flip of a side's rules.
+    every period that an X or a component descriptor names lies below it,
+    and K is one past the largest copy that an X excludes or a side's rule
+    flips (0 if there is none), so every copy they name lies below K.
     A vertex outside the box lies in exactly the sides that hold its
     representative inside: a strip or periodic-fan vertex at a period beyond
     T lies in a side iff the side has that strip's tail, like its period-T
@@ -451,7 +453,7 @@ class _Box:
     def __init__(self, g: PatternGraph, seps):
         systems = dict.fromkeys(sep.cs for sep in seps)
         T = max((cs.stabilization_bound for cs in systems), default=1)
-        K = max([T] + [
+        K = max([0] + [max(e) + 1 for cs in systems for e in cs.excl.values() if e] + [
             k + 1 for sep in seps for subset in (sep.side, sep.co_side) for r in subset.rules.values() for k in r.flips
         ])
         self.T, self.K = T, K
@@ -592,8 +594,6 @@ def crit_point(g: PatternGraph, Y) -> PointOfGamma:
 
 def all_points(g: PatternGraph, horizon: int) -> list[PointOfGamma]:
     """Ends plus the critical sets with period coordinates <= horizon."""
-    from .classify import enumerate_critical
-
     pts = [end_point(s.id) for s in g.strips]
     max_size = max(
         [len(set(f.attach)) for f in g.fans]
@@ -601,7 +601,7 @@ def all_points(g: PatternGraph, horizon: int) -> list[PointOfGamma]:
         + [0]
     )
     pts += [PointOfGamma("crit", Y=Y) for Y in sorted(
-        enumerate_critical(g, max_size, horizon + 1),
+        _classify.enumerate_critical(g, max_size, horizon + 1),
         key=lambda Y: tuple(sorted(v.sort_key() for v in Y)),
     )]
     return pts

@@ -2,8 +2,10 @@
 
 import argparse
 import json
+import re
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -233,22 +235,71 @@ def test_fixture_specs_round_trip():
         assert validate(json.loads(json.dumps(to_raw(g)))) == g
 
 
-def test_every_subcommand_takes_the_common_options():
+# The options each subcommand declares: the ones its handler reads.
+OPTIONS = {
+    "analyze": {"--json", "--seed", "--horizon"},
+    "report": {"--json", "--seed", "--horizon"},
+    "components": {"--json", "--delete"},
+    "critical": {"--json", "--horizon", "--max-size"},
+    "classify": {"--json"},
+    "limit": {"--json", "--horizon", "--family"},
+    "check-tangle": {"--json", "--horizon", "--point", "--seps"},
+    "distinguish": {"--json", "--a", "--b"},
+    "export-dot": {"--copies", "--periods"},
+}
+
+
+def _declared_options(parser) -> dict:
+    """Subcommand -> the option flags its parser declares, --help aside."""
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        command: {flag for a in p._actions if a.dest != "help" for flag in a.option_strings}
+        for command, p in sub.choices.items()
+    }
+
+
+def test_each_subcommand_takes_exactly_its_options(capsys):
+    parser = cli.build_parser()
+    declared = _declared_options(parser)
+    assert declared == OPTIONS
+    assert sum(map(len, declared.values())) == 24
     required = {
         "limit": ["--family", "{}"],
         "check-tangle": ["--point", "end:s1"],
         "distinguish": ["--a", "end:s1", "--b", "end:s1"],
     }
-    commands = ["analyze", "report", "components", "critical", "classify", "limit",
-                "check-tangle", "distinguish", "export-dot"]
-    for command in commands:
-        extra = required.get(command, [])
-        args = cli.build_parser().parse_args([command, "g.json"] + extra)
-        assert (args.spec, args.json, args.seed, args.horizon, args.copies) == ("g.json", False, 0, 2, 3)
-        args = cli.build_parser().parse_args(
-            [command, "g.json", "--json", "--seed", "4", "--horizon", "5", "--copies", "6"] + extra
-        )
-        assert (args.json, args.seed, args.horizon, args.copies) == (True, 4, 5, 6)
+    # common flag -> (its default, tokens that set it, the value they set)
+    common = {
+        "--json": (False, ["--json"], True),
+        "--seed": (0, ["--seed", "4"], 4),
+        "--horizon": (2, ["--horizon", "5"], 5),
+        "--copies": (3, ["--copies", "6"], 6),
+    }
+    for command, options in OPTIONS.items():
+        argv = [command, "g.json"] + required.get(command, [])
+        taken = sorted(set(common) & options)
+        args = vars(parser.parse_args(argv))
+        assert args["spec"] == "g.json"
+        assert {f: args[f[2:]] for f in taken} == {f: common[f][0] for f in taken}, command
+        args = vars(parser.parse_args(argv + [tok for f in taken for tok in common[f][1]]))
+        assert {f: args[f[2:]] for f in taken} == {f: common[f][2] for f in taken}, command
+        for flag in sorted(set(common) - options):
+            assert flag[2:] not in args
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args(argv + common[flag][1])
+            assert exc.value.code == 2, (command, flag)
+            assert "unrecognized arguments: " + " ".join(common[flag][1]) in capsys.readouterr().err
+
+
+def test_readme_lists_each_subcommand_with_its_options():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    listed = {}
+    for line in block.splitlines():
+        words = line.split("#", 1)[0].split()
+        if words[:1] == ["omegagraph"]:
+            listed[words[1]] = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", " ".join(words[2:])))
+    assert listed == _declared_options(cli.build_parser())
 
 
 def test_report_enumerates_separations_once(capsys, monkeypatch):
@@ -357,16 +408,16 @@ def test_main_builds_the_parser_once(capsys, monkeypatch):
     codes = [run(capsys, "classify", SPEC[name])[0] for name in ("star", "ray", "comb", "combo")]
     code, _, err = run(capsys, "components", SPEC["ray"], "--delete", "core:nope")
     assert (codes, code, err) == ([0, 0, 0, 0], 1, "UnknownVertex('core:nope')\n")
-    # one top-level parser, the common parent and one per subcommand
-    assert built <= 11
+    # one top-level parser and one per subcommand
+    assert built <= 10
 
 
 def test_shared_parser_parses_from_threads():
     argvs = [
         ["report", "g.json", "--json", "--horizon", "3"],
         ["check-tangle", "h.json", "--point", "end:s1", "--seps", "auto:2"],
-        ["limit", "g.json", "--family", "{};{core:a}", "--copies", "5"],
-        ["components", "k.json", "--delete", "core:a,core:b", "--seed", "7"],
+        ["limit", "g.json", "--family", "{};{core:a}", "--horizon", "5"],
+        ["components", "k.json", "--delete", "core:a,core:b", "--json"],
     ]
     want = [cli.build_parser().parse_args(argv) for argv in argvs]
     parser = cli._parser()

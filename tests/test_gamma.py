@@ -1,5 +1,6 @@
 """Gamma spaces, bonding maps, the inverse system, and quotients."""
 
+import dataclasses
 import itertools
 import random
 
@@ -600,23 +601,73 @@ def test_verify_system_matches_reference_loop(fixtures):
     }
 
 
-def test_verify_system_builds_membership_rules_once_per_set(fixtures, monkeypatch):
-    css, maps = build_system(fixtures["combo"], _power_set(5))
-    spaces = {Xs: m.src for (Xs, _), m in maps.items()}
-    want = sum(len(space.handles()) for space in spaces.values())
-    counts = {"membership_rule": 0, "compose": 0}
-    membership_rule, compose_ = FduSpace.membership_rule, gamma.compose
+def test_system_builds_each_space_tables_once(fixtures, monkeypatch):
+    counts = {"tables": 0, "compose": 0}
+    post_init, compose_ = FduSpace.__post_init__, gamma.compose
 
-    def counting_membership_rule(self, handle):
-        counts["membership_rule"] += 1
-        return membership_rule(self, handle)
+    def counting_post_init(self):
+        counts["tables"] += 1
+        post_init(self)
 
     def counting_compose(outer, inner):
         counts["compose"] += 1
         return compose_(outer, inner)
 
-    monkeypatch.setattr(FduSpace, "membership_rule", counting_membership_rule)
+    monkeypatch.setattr(FduSpace, "__post_init__", counting_post_init)
     monkeypatch.setattr(gamma, "compose", counting_compose)
+    family = _power_set(5)
+    css, maps = build_system(fixtures["combo"], family)
     assert verify_system(css, maps).ok
-    # 40 here; once per handle of each chain's source would be 2,112
-    assert counts == {"membership_rule": want, "compose": 4 ** 5}, (counts, want)
+    # one per space (32), however many chains (243) its maps run through
+    assert counts == {"tables": len(family), "compose": 4 ** 5}, counts
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_functoriality_verdicts_go_through_maps_equal(fixtures, monkeypatch, n):
+    css, maps = build_system(fixtures["combo"], _power_set(n))
+    calls = 0
+
+    def never_equal(m1, m2):
+        nonlocal calls
+        calls += 1
+        return False
+
+    monkeypatch.setattr(gamma, "maps_equal", never_equal)
+    entries = verify_system(css, maps).entries
+    functoriality = [ok for check, _, ok, _ in entries if check == "functoriality"]
+    assert calls == len(functoriality) == 4 ** n
+    assert not any(functoriality)
+    assert all(ok for check, _, ok, _ in entries if check != "functoriality")
+
+
+def test_fdu_space_tables_are_not_fields(fixtures):
+    h1, h2 = ("fan", "f1"), ("fan", "f2")
+    A, B = ("named", "A"), ("named", "B")
+    space = FduSpace(
+        (A, member_point(h2, 4)),
+        (
+            Cluster("L", (B,), ((h1, FamilyRule("odd", frozenset({2}))), (h2, FamilyRule("even")))),
+            Cluster("M", (), ((h2, FamilyRule("false", frozenset({1}))),)),
+        ),
+    )
+    assert [f.name for f in dataclasses.fields(FduSpace)] == ["isolated", "clusters"]
+    twin = FduSpace(space.isolated, space.clusters)
+    assert space == twin and hash(space) == hash(twin)
+    assert space != FduSpace(space.isolated, space.clusters[:1])
+    assert repr(space) == f"FduSpace(isolated={space.isolated!r}, clusters={space.clusters!r})"
+    assert space.finite_points() == (A, member_point(h2, 4), B)
+    assert space.named_points() == [A, B]
+    assert space.handles() == [h1, h2]
+    assert space.membership_rule(h1) == FamilyRule("odd", frozenset({2}))
+    assert space.membership_rule(h2) == FamilyRule("even", frozenset({1}))
+    assert space.membership_rule(("fan", "zz")) == FamilyRule("false")
+    assert space.cluster_of_handle(h2) is space.clusters[0]
+    assert space.cluster_of_handle(("fan", "zz")) is None
+    # what a caller gets back is its own
+    space.handles().clear()
+    space.named_points().clear()
+    assert space.handles() == [h1, h2] and space.named_points() == [A, B]
+    cs = delete(fixtures["combo"], {core("a"), core("b")})
+    sp = gamma_space(cs)
+    assert sp == gamma_space(cs) and hash(sp) == hash(gamma_space(cs))
+    assert isinstance(sp.finite_points(), tuple)

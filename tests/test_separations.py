@@ -814,6 +814,18 @@ def test_side_bits_see_past_the_last_named_period(fixtures):
     assert not first_bits & ~tail_bits and subseteq(first_set, tail_set)
 
 
+def test_box_takes_copies_up_to_the_last_named_one(fixtures):
+    # K is one past the largest copy that an X excludes or a rule flips,
+    # however deep the periods go (T = 4 here)
+    g = fixtures["combo"]
+    seps = _enumerate_seps(g, 3, 3)
+    box = SeparationSystem(g, seps).box
+    named = {k for sep in seps for e in sep.cs.excl.values() for k in e}
+    named |= {k for sep in seps for subset in (sep.side, sep.co_side) for r in subset.rules.values() for k in r.flips}
+    assert (box.T, box.K, max(named)) == (4, 2, 1)
+    assert len(box.bit) == 32
+
+
 @pytest.mark.parametrize("case", _CASES)
 def test_is_consistent_matches_symbolic_scan(case):
     g, seps = _graph_and_seps(case)
