@@ -435,11 +435,22 @@ def _cmd_export_dot(g: PatternGraph, args) -> int:
     return 0
 
 
+def _non_negative(text: str) -> int:
+    """An argparse type: anything but a non-negative integer is a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return value
+
+
 # The options that several subcommands take; each subcommand declares the ones it reads.
 _OPTIONS = {
     "--json": dict(action="store_true", help="emit canonical JSON"),
     "--seed": dict(type=int, default=0, help="seed recorded in reports"),
-    "--horizon": dict(type=int, default=2, help="period horizon for enumerations"),
+    "--horizon": dict(type=_non_negative, default=2, help="period horizon for enumerations"),
 }
 
 

@@ -9,13 +9,12 @@ rule serves as the one deliberately non-tame escape hatch.  A subset
 computes its key, and a separation its identity and tameness, when it
 is built.
 
-Points of the limit space (ends and critical vertex sets) orient tame
-separations through their induced filters; ``check_tangle`` verifies
-consistency and the absence of finite-interior stars.  A
-``SeparationSystem`` holds a list of separations with their sides as
+A ``SeparationSystem`` holds a list of separations with their sides as
 bitsets over one box of representative vertices, built from the
-component descriptors, and checks each orientation of the list on those
-ints, the star search included.
+component descriptors.  Points of the limit space (ends and critical
+vertex sets) orient it through their induced filters (``orient``), and
+``check`` decides on those ints whether an orientation is a tangle:
+consistent, with no star of finite interior.
 """
 
 from __future__ import annotations
@@ -23,6 +22,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
+import types
 from dataclasses import dataclass, field
 
 from .ids import VertexId, core, fanv, pfanv, stripv
@@ -41,19 +41,11 @@ from .components import (
 )
 
 
-class BaseMismatchError(ValueError):
-    pass
-
-
 class NotTameError(ValueError):
     pass
 
 
 class PointsEqualError(ValueError):
-    pass
-
-
-class GraphRequiredError(ValueError):
     pass
 
 
@@ -140,10 +132,6 @@ def rule_or(a: FamilyRule, b: FamilyRule) -> FamilyRule:
     return rule_and(a.negate(), b.negate()).negate()
 
 
-def rule_subset(a: FamilyRule, b: FamilyRule) -> bool:
-    return rule_and(a, b.negate()).is_empty()
-
-
 RULE_TRUE = FamilyRule("true")
 RULE_FALSE = FamilyRule("false")
 
@@ -168,11 +156,12 @@ class SymbolicSubset:
         self.explicit_in = frozenset(explicit_in)
         if not self.explicit_in <= cs.explicit_keys:
             raise InvariantError("unknown explicit component")
-        self.rules: dict[Handle, FamilyRule] = {}
+        built: dict[Handle, FamilyRule] = {}
         for d in cs.family_descriptors:
             h, excl = d.handle(), d.excluded()
             raw = (rules or {}).get(h, RULE_FALSE)
-            self.rules[h] = rule_and(raw, FamilyRule("true", excl)) if excl else raw
+            built[h] = rule_and(raw, FamilyRule("true", excl)) if excl else raw
+        self.rules = types.MappingProxyType(built)  # read-only: the key below describes it
         # family descriptors, and so the rules, come in handle_sort_key order
         self._key = (
             tuple(sorted(self.explicit_in)),
@@ -185,14 +174,6 @@ class SymbolicSubset:
         return SymbolicSubset(cs)
 
     @staticmethod
-    def full(cs) -> "SymbolicSubset":
-        return SymbolicSubset(
-            cs,
-            cs.explicit_keys,
-            {d.handle(): RULE_TRUE for d in cs.family_descriptors},
-        )
-
-    @staticmethod
     def family_side(cs, Y) -> "SymbolicSubset":
         """All members of the infinite families with neighbourhood Y."""
         Y = frozenset(Y)
@@ -202,31 +183,11 @@ class SymbolicSubset:
             {d.handle(): RULE_TRUE for d in cs.family_descriptors if d.neighborhood == Y},
         )
 
-    def _check_base(self, other: "SymbolicSubset"):
-        if not _same_base(self.cs, other.cs):
-            raise BaseMismatchError("subsets live over different deletions")
-
     def complement(self) -> "SymbolicSubset":
         return SymbolicSubset(
             self.cs,
             self.cs.explicit_keys - self.explicit_in,
             {h: r.negate() for h, r in self.rules.items()},
-        )
-
-    def intersection(self, other: "SymbolicSubset") -> "SymbolicSubset":
-        self._check_base(other)
-        return SymbolicSubset(
-            self.cs,
-            self.explicit_in & other.explicit_in,
-            {h: rule_and(r, other.rules[h]) for h, r in self.rules.items()},
-        )
-
-    def union(self, other: "SymbolicSubset") -> "SymbolicSubset":
-        self._check_base(other)
-        return SymbolicSubset(
-            self.cs,
-            self.explicit_in | other.explicit_in,
-            {h: rule_or(r, other.rules[h]) for h, r in self.rules.items()},
         )
 
     def with_member_toggled(self, handle: Handle, k: int) -> "SymbolicSubset":
@@ -278,7 +239,8 @@ class SymbolicVertexSet:
     """A vertex set given by a finite part, strip tails, and whole copies.
 
     ``contains`` defines membership: it is the definition that the side
-    ints of a ``SeparationSystem`` are tested against.
+    ints of a ``SeparationSystem`` are tested against, on sets built from
+    the separations' descriptions.
     """
 
     g: PatternGraph
@@ -299,28 +261,6 @@ class SymbolicVertexSet:
             r = self.copies.get(("pfan", v.owner, v.t))
             return bool(r and r(v.k))
         return False
-
-
-def _subset_vertex_set(sep: "Separation", of_side: bool) -> SymbolicVertexSet:
-    """X u V[side] (True) or X u V[co-side] (False), built afresh on each call."""
-    cs = sep.cs
-    subset, rest = (sep.side, sep.co_side) if of_side else (sep.co_side, sep.side)
-    if rest.is_empty() and not cs.g.is_finite():
-        return SymbolicVertexSet(cs.g, is_all=True)
-    fin = set(cs.X)
-    tails: dict = {}
-    copies: dict = {}
-    for key in subset.explicit_in:
-        d = cs.descriptor(key)
-        fin |= d.vertices
-        for seg in d.tails:
-            tails[seg.strip] = seg.start
-        for h, excl in d.families:
-            copies[h] = FamilyRule("true", excl)
-    for h, r in subset.rules.items():
-        if not r.is_empty():
-            copies[h] = rule_or(copies[h], r) if h in copies else r
-    return SymbolicVertexSet(cs.g, frozenset(fin), tails, copies)
 
 
 # ---------------------------------------------------------------------------
@@ -366,6 +306,8 @@ class Separation:
 
 @dataclass(frozen=True)
 class OrientedSeparation:
+    """A separation with one side chosen as its big side: equal iff both agree."""
+
     sep: Separation
     toward_side: bool  # big side is X u V[side] if True
 
@@ -376,54 +318,11 @@ class OrientedSeparation:
     def big_subset(self) -> SymbolicSubset:
         return self.sep.side if self.toward_side else self.sep.co_side
 
-    def big_set(self) -> SymbolicVertexSet:
-        """The big side as a fresh vertex set: the caller owns it."""
-        return _subset_vertex_set(self.sep, self.toward_side)
-
-    def small_set(self) -> SymbolicVertexSet:
-        return _subset_vertex_set(self.sep, not self.toward_side)
-
-    def reverse(self) -> "OrientedSeparation":
-        return OrientedSeparation(self.sep, not self.toward_side)
-
-    def key(self):
-        return self._key
-
     def __eq__(self, other):
         return isinstance(other, OrientedSeparation) and self._key == other._key
 
     def __hash__(self):
         return hash(self._key)
-
-
-def toward_components(cs: ComponentSystem, subset: SymbolicSubset) -> OrientedSeparation:
-    """s_{X -> C}: points at the side holding the given components."""
-    return Separation(cs, subset).orient(True)
-
-
-def away_from_components(cs: ComponentSystem, subset: SymbolicSubset) -> OrientedSeparation:
-    """s_{C -> X}: points away from the given components."""
-    return Separation(cs, subset).orient(False)
-
-
-class Orientation:
-    """A set of oriented separations, at most one per underlying separation."""
-
-    def __init__(self, members):
-        members = list(members)
-        seen = {}
-        for m in members:
-            uk = m.sep.underlying_key()
-            if uk in seen and seen[uk] != m:
-                raise ValueError("orientation contains both directions of a separation")
-            seen[uk] = m
-        self.members = tuple(dict.fromkeys(members))
-
-    def __iter__(self):
-        return iter(self.members)
-
-    def __len__(self):
-        return len(self.members)
 
 
 class _Box:
@@ -528,10 +427,11 @@ class _Box:
 
 
 def _first_violation(smalls: list[int], bigs: list[int]):
-    """First (i, j), in ``itertools.permutations`` order, with reverse(i) < j.
+    """First (i, j), in ``itertools.permutations`` order, with i* < j.
 
-    reverse(i) <= j iff big_i is inside small_j and big_j inside small_i;
-    j <= reverse(i) iff small_j is inside big_i and small_i inside big_j.
+    i* is member i pointing the other way.  i* <= j iff big_i is inside
+    small_j and big_j inside small_i; j <= i* iff small_j is inside big_i
+    and small_i inside big_j.
     The members j whose small side holds big_i are found as an int over
     members: the AND, over the vertices of big_i, of the members holding
     that vertex in their small side.
@@ -559,11 +459,6 @@ def _first_violation(smalls: list[int], bigs: list[int]):
             if smalls[j] & not_big_i or smalls[i] & ~bigs[j]:
                 return i, j
     return None
-
-
-def is_tame(sep: Separation) -> bool:
-    """No critical family is split into two infinite halves."""
-    return sep.is_tame()
 
 
 # ---------------------------------------------------------------------------
@@ -624,7 +519,7 @@ def _induced_toward(xi: PointOfGamma, seps) -> tuple[bool, ...]:
     filters: dict[ComponentSystem, tuple] = {}
     toward = []
     for sep in seps:
-        if not is_tame(sep):
+        if not sep.is_tame():
             raise NotTameError("induced orientations are defined on tame separations only")
         if sep.cs not in filters:
             filters[sep.cs] = point_filter(sep.cs, xi)
@@ -639,11 +534,6 @@ def _induced_toward(xi: PointOfGamma, seps) -> tuple[bool, ...]:
 def orient_by_point(xi: PointOfGamma, sep: Separation) -> OrientedSeparation:
     """Orient a tame separation towards the side holding the point's filter."""
     return sep.orient(_induced_toward(xi, (sep,))[0])
-
-
-def induced_orientation(xi: PointOfGamma, seps) -> Orientation:
-    seps = list(seps)
-    return Orientation(map(Separation.orient, seps, _induced_toward(xi, seps)))
 
 
 @dataclass(frozen=True)
@@ -665,8 +555,8 @@ class SeparationSystem:
     from the ints of each separation's co-side and side, so checking many
     orientations of one list builds one ``_Box``.  The box over a list is
     the box over any orientation of it, because an orientation's small and
-    big sides are the list's sides and co-sides; so ``check`` gives the
-    verdicts and witnesses that ``check_tangle`` gives on the members.
+    big sides are the list's sides and co-sides.  A verdict's witnesses
+    are the members involved, as ``OrientedSeparation`` values.
     """
 
     g: PatternGraph
@@ -702,7 +592,7 @@ class SeparationSystem:
             "feats": tuple(map(box.tail_feature, strips)) + tuple(map(box.family_feature, handles)),
             "root": tuple(box.tail_feature(s.id) for s in self.g.strips)
             + tuple(box.family_feature(("fan", f.id)) for f in self.g.fans),
-            "tame": all(map(is_tame, seps)),
+            "tame": all(sep.is_tame() for sep in seps),
         }
         for name, value in built.items():
             object.__setattr__(self, name, value)
@@ -734,7 +624,7 @@ class SeparationSystem:
         and its killers are the members whose big side lacks them.
         """
         if not self.tame:
-            raise NotTameError("check_tangle expects tame separations only")
+            raise NotTameError("tangle checks expect tame separations only")
         box = self.box
         small_bits, big_bits = self.sides(toward)
         pair = _first_violation(small_bits, big_bits)
@@ -780,32 +670,6 @@ class SeparationSystem:
         if found is not None:
             return TangleVerdict(False, star=self._members(found, toward))
         return TangleVerdict(True)
-
-
-def is_consistent(o):
-    """True, or a witnessing pair (p, q) with reverse(p) < q."""
-    ms = list(o)
-    if not ms:
-        return True, None
-    system = SeparationSystem(ms[0].sep.cs.g, [m.sep for m in ms])
-    pair = _first_violation(*system.sides([m.toward_side for m in ms]))
-    if pair is None:
-        return True, None
-    return False, (ms[pair[0]], ms[pair[1]])
-
-
-def check_tangle(o, g: PatternGraph | None = None) -> TangleVerdict:
-    """Is the orientation o a tangle?  See ``SeparationSystem.check``.
-
-    An empty orientation does not say which graph it lives on, so it
-    needs g.
-    """
-    ms = list(o)
-    if g is None:
-        if not ms:
-            raise GraphRequiredError("check_tangle of an empty orientation needs its graph")
-        g = ms[0].sep.cs.g
-    return SeparationSystem(g, [m.sep for m in ms]).check([m.toward_side for m in ms])
 
 
 # ---------------------------------------------------------------------------
@@ -856,7 +720,7 @@ def distinguish(g: PatternGraph, xi1: PointOfGamma, xi2: PointOfGamma, max_horiz
 
 
 # ---------------------------------------------------------------------------
-# Enumeration and perturbation helpers
+# Enumeration
 
 _MAX_COPY = 2  # copies per family that the enumerator moves one at a time
 _MAX_EXPLICIT_SUBSET = 6  # up to this many explicit components, every subset is a side
@@ -908,12 +772,3 @@ def enumerate_tame_separations(cs: ComponentSystem):
     seps.sort(key=lambda s: s.underlying_key()[0] + tuple(s.side.key()))
     return seps
 
-
-def perturb_separation(sep: Separation, explicit_toggles=(), copy_toggles=()) -> Separation:
-    """Move finitely many components across the separation's sides."""
-    side = sep.side
-    for key in explicit_toggles:
-        side = side.with_explicit_toggled(key)
-    for h, k in copy_toggles:
-        side = side.with_member_toggled(h, k)
-    return Separation(sep.cs, side)

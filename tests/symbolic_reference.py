@@ -1,13 +1,14 @@
 """The symbolic side algebra that ``separations`` decides on ints instead.
 
-``check_tangle`` and ``is_consistent`` compare sides as ints over a box of
-representative vertices and run the star search on those ints.  What they
-replaced is kept here, as the reference the tests compare them against:
-inclusion and intersection of ``SymbolicVertexSet``s, the order on
-oriented separations, stars and their interiors, the symbolic star search,
-the consistency scan over every pair, and the box filled one ``contains``
-call per vertex.  Methods of the old ``SymbolicVertexSet`` are functions
-taking the set first.
+``SeparationSystem.check`` compares sides as ints over a box of
+representative vertices and runs the star search on those ints.  What it
+replaced is kept here, as the reference the tests compare it against:
+the sides of a separation as ``SymbolicVertexSet``s, their inclusion and
+intersection, the order on oriented separations, stars and their
+interiors, the symbolic star search, the consistency scan over every
+pair, and the box filled one ``contains`` call per vertex.  Methods of
+the old ``SymbolicVertexSet`` and ``OrientedSeparation`` are functions
+taking the set or the oriented separation first.
 """
 
 from __future__ import annotations
@@ -19,13 +20,14 @@ from omegagraph.ids import core, stripv
 from omegagraph.separations import (
     RULE_FALSE,
     RULE_TRUE,
+    FamilyRule,
     NotTameError,
     SeparationSystem,
     SymbolicVertexSet,
     TangleVerdict,
     _first_violation,
-    is_tame,
     rule_and,
+    rule_or,
 )
 
 
@@ -34,7 +36,42 @@ class NotAStarError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Symbolic vertex sets
+# Sides as symbolic vertex sets
+
+def subset_vertex_set(sep, of_side: bool) -> SymbolicVertexSet:
+    """X u V[side] (True) or X u V[co-side] (False), built afresh on each call."""
+    cs = sep.cs
+    subset, rest = (sep.side, sep.co_side) if of_side else (sep.co_side, sep.side)
+    if rest.is_empty() and not cs.g.is_finite():
+        return SymbolicVertexSet(cs.g, is_all=True)
+    fin = set(cs.X)
+    tails: dict = {}
+    copies: dict = {}
+    for key in subset.explicit_in:
+        d = cs.descriptor(key)
+        fin |= d.vertices
+        for seg in d.tails:
+            tails[seg.strip] = seg.start
+        for h, excl in d.families:
+            copies[h] = FamilyRule("true", excl)
+    for h, r in subset.rules.items():
+        if not r.is_empty():
+            copies[h] = rule_or(copies[h], r) if h in copies else r
+    return SymbolicVertexSet(cs.g, frozenset(fin), tails, copies)
+
+
+def big_set(o) -> SymbolicVertexSet:
+    """The big side of an oriented separation as a fresh vertex set."""
+    return subset_vertex_set(o.sep, o.toward_side)
+
+
+def small_set(o) -> SymbolicVertexSet:
+    return subset_vertex_set(o.sep, not o.toward_side)
+
+
+def reverse(o):
+    return o.sep.orient(not o.toward_side)
+
 
 def cover_rule(svs: SymbolicVertexSet, handle):
     """Rule-level approximation of {k : copy k fully covered}."""
@@ -135,7 +172,7 @@ def materialize_finite(svs: SymbolicVertexSet) -> frozenset:
 
 def le(o1, o2) -> bool:
     """(A,B) <= (C,D)  iff  A is inside C and B contains D."""
-    return subseteq(o1.small_set(), o2.small_set()) and subseteq(o2.big_set(), o1.big_set())
+    return subseteq(small_set(o1), small_set(o2)) and subseteq(big_set(o2), big_set(o1))
 
 
 def lt(o1, o2) -> bool:
@@ -146,7 +183,7 @@ def is_star(sigma) -> bool:
     """Pairwise pointing towards each other."""
     ms = list(sigma)
     for p, q in itertools.permutations(ms, 2):
-        if not le(p, q.reverse()):
+        if not le(p, reverse(q)):
             return False
     return True
 
@@ -158,9 +195,9 @@ def interior(sigma) -> SymbolicVertexSet:
         raise NotAStarError("empty star has no ambient graph; use interior_of(g, [])")
     if not is_star(ms):
         raise NotAStarError("interior is only defined for stars")
-    out = ms[0].big_set()
+    out = big_set(ms[0])
     for m in ms[1:]:
-        out = intersect(out, m.big_set())
+        out = intersect(out, big_set(m))
     return out
 
 
@@ -197,21 +234,18 @@ def _kills(big: SymbolicVertexSet, feat) -> bool:
     return cover_rule(big, feat[1]).is_finite()
 
 
-def symbolic_check_tangle(o, g=None) -> TangleVerdict:
-    """check_tangle with the star search on symbolic vertex sets."""
-    ms = list(o)
-    if g is None and ms:
-        g = ms[0].sep.cs.g
+def symbolic_check_tangle(ms, g) -> TangleVerdict:
+    """``check_members`` with the star search on symbolic vertex sets."""
     for m in ms:
-        if not is_tame(m.sep):
-            raise NotTameError("check_tangle expects tame separations only")
+        if not m.sep.is_tame():
+            raise NotTameError("tangle checks expect tame separations only")
     _, small_bits, big_bits = orientation_bits(ms, g)
     pair = _first_violation(small_bits, big_bits)
     if pair is not None:
         return TangleVerdict(False, violation=(ms[pair[0]], ms[pair[1]]))
-    if g is not None and is_finite(interior_of(g, [])):
+    if is_finite(interior_of(g, [])):
         return TangleVerdict(False, star=())
-    bigs = [m.big_set() for m in ms]
+    bigs = [big_set(m) for m in ms]
     neighbor_memo: dict[int, set] = {}
 
     def neighbors(i: int) -> set:
@@ -241,6 +275,11 @@ def symbolic_check_tangle(o, g=None) -> TangleVerdict:
     if found is not None:
         return TangleVerdict(False, star=tuple(ms[i] for i in found))
     return TangleVerdict(True)
+
+
+def check_members(ms, g) -> TangleVerdict:
+    """``SeparationSystem.check`` on a list of oriented separations of g."""
+    return SeparationSystem(g, [m.sep for m in ms]).check([m.toward_side for m in ms])
 
 
 def orientation_bits(ms, g):

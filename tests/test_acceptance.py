@@ -31,10 +31,9 @@ from omegagraph.oracle import components_after_deletion, count_by_neighborhood
 from omegagraph.pattern import degree_class, to_raw, truncate, validate
 from omegagraph.separations import (
     FamilyRule,
+    SeparationSystem,
     all_points,
-    check_tangle,
     distinguish,
-    induced_orientation,
     orient_by_point,
 )
 from conftest import FIXTURE_NAMES, random_deletion, vertex_pool
@@ -146,10 +145,10 @@ def test_criterion_4_tangle_suite():
     bad = []
     for name in FIXTURE_NAMES:
         g = FIXTURES[name]
-        seps = _enumerate_seps(g, 2, 2)
+        system = SeparationSystem(g, _enumerate_seps(g, 2, 2))
         pts = all_points(g, 3)
         for xi in pts:
-            verdict = check_tangle(induced_orientation(xi, seps), g)
+            verdict = system.check(system.orient(xi))
             if not verdict.ok:
                 bad.append((name, str(xi), "tangle check"))
         for a, b in itertools.combinations(pts, 2):

@@ -249,6 +249,14 @@ OPTIONS = {
 }
 
 
+# The options a subcommand needs besides its spec.
+REQUIRED = {
+    "limit": ["--family", "{}"],
+    "check-tangle": ["--point", "end:s1"],
+    "distinguish": ["--a", "end:s1", "--b", "end:s1"],
+}
+
+
 def _declared_options(parser) -> dict:
     """Subcommand -> the option flags its parser declares, --help aside."""
     (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
@@ -263,11 +271,6 @@ def test_each_subcommand_takes_exactly_its_options(capsys):
     declared = _declared_options(parser)
     assert declared == OPTIONS
     assert sum(map(len, declared.values())) == 24
-    required = {
-        "limit": ["--family", "{}"],
-        "check-tangle": ["--point", "end:s1"],
-        "distinguish": ["--a", "end:s1", "--b", "end:s1"],
-    }
     # common flag -> (its default, tokens that set it, the value they set)
     common = {
         "--json": (False, ["--json"], True),
@@ -276,7 +279,7 @@ def test_each_subcommand_takes_exactly_its_options(capsys):
         "--copies": (3, ["--copies", "6"], 6),
     }
     for command, options in OPTIONS.items():
-        argv = [command, "g.json"] + required.get(command, [])
+        argv = [command, "g.json"] + REQUIRED.get(command, [])
         taken = sorted(set(common) & options)
         args = vars(parser.parse_args(argv))
         assert args["spec"] == "g.json"
@@ -291,9 +294,35 @@ def test_each_subcommand_takes_exactly_its_options(capsys):
             assert "unrecognized arguments: " + " ".join(common[flag][1]) in capsys.readouterr().err
 
 
-def test_readme_lists_each_subcommand_with_its_options():
+def test_a_negative_horizon_is_a_usage_error(capsys):
+    takers = sorted(command for command, options in OPTIONS.items() if "--horizon" in options)
+    assert takers == ["analyze", "check-tangle", "critical", "limit", "report"]
+    for command in takers:
+        argv = [command, SPEC["comb"], *REQUIRED.get(command, [])]
+        for value in ("-1", "-2", "two"):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--horizon", value])
+            assert exc.value.code == 2, (command, value)
+            err = capsys.readouterr().err
+            assert f"argument --horizon: must be a non-negative integer, got '{value}'" in err, command
+        assert cli._parser().parse_args(argv + ["--horizon", "0"]).horizon == 0
+
+
+def _readme_block(section: str, language: str) -> str:
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return readme.split(f"## {section}", 1)[1].split(f"```{language}\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_quick_tour_runs():
+    # a name the tour uses that the library no longer has fails here
+    scope = {}
+    exec(_readme_block("Library quick tour", "python"), scope)
+    system, xi = scope["system"], scope["xi"]
+    assert system.check(system.orient(xi)).ok
+
+
+def test_readme_lists_each_subcommand_with_its_options():
+    block = _readme_block("Command line", "sh")
     listed = {}
     for line in block.splitlines():
         words = line.split("#", 1)[0].split()
@@ -364,16 +393,17 @@ def test_report_builds_one_box_per_separation_list(capsys, monkeypatch):
 def test_report_and_check_tangle_build_no_side_vertex_sets(capsys, monkeypatch):
     # side ints come from the component descriptors, not from vertex sets
     from omegagraph import separations
+    from symbolic_reference import big_set
 
     calls = 0
-    build = separations._subset_vertex_set
+    init = separations.SymbolicVertexSet.__init__
 
-    def counting(*args):
+    def counting(*args, **kwargs):
         nonlocal calls
         calls += 1
-        return build(*args)
+        init(*args, **kwargs)
 
-    monkeypatch.setattr(separations, "_subset_vertex_set", counting)
+    monkeypatch.setattr(separations.SymbolicVertexSet, "__init__", counting)
     for argv in (
         ("report", SPEC["combo"], "--json", "--horizon", "8"),
         ("check-tangle", SPEC["combo"], "--json", "--point", "end:s1", "--horizon", "3", "--seps", "auto:3"),
@@ -383,7 +413,7 @@ def test_report_and_check_tangle_build_no_side_vertex_sets(capsys, monkeypatch):
     assert calls == 0
     # the count is live: a side vertex set asked for is built through it
     sep = cli._enumerate_seps(combo(), 0, 0)[0]
-    sep.orient(True).big_set()
+    big_set(sep.orient(True))
     assert calls == 1
 
 

@@ -14,20 +14,19 @@ from omegagraph.gamma import bonding_f, gamma_space, limit_point
 from omegagraph.ids import stripv
 from omegagraph.pattern import truncate
 from omegagraph.separations import (
+    SeparationSystem,
     all_points,
-    check_tangle,
     enumerate_tame_separations,
-    induced_orientation,
     orient_by_point,
     point_filter,
 )
 from conftest import FIXTURE_NAMES, random_deletion, random_pattern
-from symbolic_reference import le
+from symbolic_reference import big_set, le, small_set
 
 
 def _truncated_sides(osep, fg):
     """Explicit (A, B) of an oriented separation within a truncation."""
-    small, big = osep.small_set(), osep.big_set()
+    small, big = small_set(osep), big_set(osep)
     verts = fg.vertices
     return (
         frozenset(v for v in verts if small.contains(v)),
@@ -104,7 +103,7 @@ def test_induced_orientation_matches_truncation_counts(fixtures):
             for xi in all_points(g, 2):
                 mode, payload = point_filter(cs, xi)
                 for sep in enumerate_tame_separations(cs)[:8]:
-                    big = orient_by_point(xi, sep).big_set()
+                    big = big_set(orient_by_point(xi, sep))
                     if mode == "principal":
                         probe = sorted(
                             v
@@ -164,12 +163,8 @@ def test_parallel_evaluation_matches_serial(fixtures):
     bases = [frozenset(), frozenset({stripv("s1", 0, "p")})]
 
     def work(X):
-        cs = delete(g, X)
-        seps = enumerate_tame_separations(cs)
-        return [
-            (str(xi), check_tangle(induced_orientation(xi, seps), g).ok)
-            for xi in all_points(g, 2)
-        ]
+        system = SeparationSystem(g, enumerate_tame_separations(delete(g, X)))
+        return [(str(xi), system.check(system.orient(xi)).ok) for xi in all_points(g, 2)]
 
     serial = [work(X) for X in bases for _ in range(3)]
     with ThreadPoolExecutor(max_workers=4) as pool:
@@ -191,10 +186,9 @@ def test_random_patterns_full_pipeline():
         report = check_inverse_system(g, family)
         assert report.ok, (seed, report.failures()[:2])
         limit_pts(g, family, 2)  # raises on thread incompatibility
-        cs = delete(g, A)
-        seps = enumerate_tame_separations(cs)
+        system = SeparationSystem(g, enumerate_tame_separations(delete(g, A)))
         for xi in all_points(g, 2):
-            verdict = check_tangle(induced_orientation(xi, seps), g)
+            verdict = system.check(system.orient(xi))
             assert verdict.ok, (seed, str(xi))
 
 

@@ -1,58 +1,53 @@
 """Separations, tameness, filters, and tangle orientations."""
 
+import ast
 import functools
 import itertools
 import os
 import random
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import omegagraph
-from omegagraph import fixture_graphs
+from omegagraph import fixture_graphs, separations
 from omegagraph.cli import _enumerate_seps
 from omegagraph.components import InvariantError, delete
 from omegagraph.ids import core, stripv
 from omegagraph.pattern import to_raw, validate
 from omegagraph.separations import (
-    BaseMismatchError,
     FamilyRule,
-    GraphRequiredError,
     NotFoundWithinHorizonError,
     NotTameError,
-    Orientation,
     PointsEqualError,
+    RULE_FALSE,
     RULE_TRUE,
     Separation,
     SeparationSystem,
     SymbolicSubset,
     TangleVerdict,
     all_points,
-    away_from_components,
-    check_tangle,
     crit_point,
     distinguish,
     end_point,
     enumerate_tame_separations,
-    induced_orientation,
-    is_consistent,
-    is_tame,
     orient_by_point,
-    perturb_separation,
     point_filter,
     rule_and,
     rule_or,
     rule_singletons,
-    rule_subset,
-    toward_components,
 )
 from omegagraph.separations import SymbolicVertexSet, _first_violation
 from conftest import FIXTURE_NAMES, random_pattern, vertex_pool
 from symbolic_reference import (
     NotAStarError,
+    big_set,
+    check_members,
     contains_side_bits,
     interior,
     interior_of,
@@ -62,7 +57,9 @@ from symbolic_reference import (
     lt,
     materialize_finite,
     orientation_bits,
+    reverse,
     scan_first_violation,
+    small_set,
     subseteq,
     symbolic_check_tangle,
 )
@@ -99,15 +96,6 @@ def test_rule_negate_involution(a):
         assert again(k) == a(k)
 
 
-@given(_rules, _rules)
-@settings(max_examples=150, deadline=None)
-def test_rule_subset_matches_definition(a, b):
-    claimed = rule_subset(a, b)
-    # indices beyond all flips behave like the bases, so 30 suffices here
-    witnessed = all((not a(k)) or b(k) for k in range(30))
-    assert claimed == witnessed
-
-
 def test_rule_finiteness_queries():
     assert rule_singletons([3, 5]).is_finite()
     assert RULE_TRUE.is_cofinite() and not RULE_TRUE.is_finite()
@@ -122,58 +110,59 @@ def comb_cs(fixtures):
     return delete(fixtures["comb"], {P(0)})
 
 
+def _meet(a: SymbolicSubset, b: SymbolicSubset) -> SymbolicSubset:
+    """The components in both subsets of one deletion."""
+    return SymbolicSubset(a.cs, a.explicit_in & b.explicit_in, {h: rule_and(r, b.rules[h]) for h, r in a.rules.items()})
+
+
 def test_subset_complement_involution(comb_cs):
     side = SymbolicSubset.family_side(comb_cs, {P(0)})
     assert side.complement().complement() == side
+
+
+def test_subset_rules_are_read_only(comb_cs):
+    # a rule changed after construction would leave the key, and so ==,
+    # describing a subset it no longer is
+    a, b = (SymbolicSubset.family_side(comb_cs, {P(0)}) for _ in range(2))
+    with pytest.raises(TypeError):
+        a.rules[("pfan", "s1", 0)] = RULE_FALSE
+    assert a.key() == b.key() and a.rules == b.rules and not a.is_empty()
 
 
 def test_subset_rule_intersection(comb_cs):
     h = ("pfan", "s1", 0)
     a = SymbolicSubset(comb_cs, rules={h: FamilyRule("true", frozenset({0}))})
     b = SymbolicSubset(comb_cs, rules={h: FamilyRule("true", frozenset({1}))})
-    assert a.intersection(b).rules[h] == FamilyRule("true", frozenset({0, 1}))
+    assert _meet(a, b).rules[h] == FamilyRule("true", frozenset({0, 1}))
 
 
 def test_subset_parity_intersection_empty(comb_cs):
     h = ("pfan", "s1", 0)
     even = SymbolicSubset(comb_cs, rules={h: FamilyRule("even")})
     odd = SymbolicSubset(comb_cs, rules={h: FamilyRule("odd")})
-    meet = even.intersection(odd)
+    meet = _meet(even, odd)
     assert meet.is_empty()
-
-
-def test_subset_base_mismatch(fixtures):
-    cs1 = delete(fixtures["comb"], {P(0)})
-    cs2 = delete(fixtures["comb"], {P(1)})
-    with pytest.raises(BaseMismatchError):
-        SymbolicSubset.empty(cs1).union(SymbolicSubset.empty(cs2))
 
 
 def test_sides_live_over_one_graph(fixtures):
     comb, combo = delete(fixtures["comb"], []), delete(fixtures["combo"], [])
     with pytest.raises(InvariantError):
-        Separation(comb, SymbolicSubset.full(combo))
-    with pytest.raises(BaseMismatchError):
-        SymbolicSubset.empty(comb).union(SymbolicSubset.empty(combo))
+        Separation(comb, SymbolicSubset.empty(combo).complement())
     assert SymbolicSubset.empty(comb) != SymbolicSubset.empty(combo)
     # an equal graph built again is the same base
     again = delete(validate(to_raw(fixtures["comb"])), [])
     assert SymbolicSubset.empty(again) == SymbolicSubset.empty(comb)
-    assert Separation(comb, SymbolicSubset.full(again)).orient(True).big_set().is_all
+    assert big_set(Separation(comb, SymbolicSubset.empty(again).complement()).orient(True)).is_all
 
 
 def test_tame_subset_ops_stay_cofinite_or_finite(comb_cs):
     # all-but-finitely-many rule algebra never produces a parity split
     h = ("pfan", "s1", 0)
-    sides = [
-        SymbolicSubset(comb_cs, rules={h: FamilyRule("true", frozenset({k}))})
-        for k in range(3)
-    ]
-    for a, b in itertools.permutations(sides, 2):
-        for combo in (a.intersection(b), a.union(b), a.complement()):
-            assert is_tame(Separation(comb_cs, combo))
-            for rule in combo.rules.values():
-                assert rule.base in ("true", "false")
+    rules = [FamilyRule("true", frozenset({k})) for k in range(3)]
+    for a, b in itertools.permutations(rules, 2):
+        for rule in (rule_and(a, b), rule_or(a, b), a.negate()):
+            assert Separation(comb_cs, SymbolicSubset(comb_cs, rules={h: rule})).is_tame()
+            assert rule.base in ("true", "false")
 
 
 # ---------------------------------------------------------------------------
@@ -183,24 +172,24 @@ def test_le_reflexive_and_flip(comb_cs):
     for sep in enumerate_tame_separations(comb_cs):
         for o in (sep.orient(True), sep.orient(False)):
             assert le(o, o)
-            assert le(o, o) == le(o.reverse().reverse(), o)
+            assert le(o, o) == le(reverse(reverse(o)), o)
 
 
 def test_le_ray_nested_cuts(fixtures):
     g = fixtures["ray"]
     cs1, cs2 = delete(g, {P(0)}), delete(g, {P(0), P(1)})
-    o1 = toward_components(cs1, SymbolicSubset(cs1, explicit_in={cs1.tail_descriptor("s1").key()}))
-    o2 = toward_components(cs2, SymbolicSubset(cs2, explicit_in={cs2.tail_descriptor("s1").key()}))
+    o1 = Separation(cs1, SymbolicSubset(cs1, explicit_in={cs1.tail_descriptor("s1").key()})).orient(True)
+    o2 = Separation(cs2, SymbolicSubset(cs2, explicit_in={cs2.tail_descriptor("s1").key()})).orient(True)
     assert le(o1, o2) and not le(o2, o1)
     # order reversal under flipping
-    assert le(o2.reverse(), o1.reverse()) and not le(o1.reverse(), o2.reverse())
+    assert le(reverse(o2), reverse(o1)) and not le(reverse(o1), reverse(o2))
 
 
 def test_le_incomparable_leaf_splits(fixtures):
     g = fixtures["comb"]
     csa, csb = delete(g, {P(0)}), delete(g, {P(1)})
-    oa = away_from_components(csa, SymbolicSubset.family_side(csa, {P(0)}))
-    ob = away_from_components(csb, SymbolicSubset.family_side(csb, {P(1)}))
+    oa = Separation(csa, SymbolicSubset.family_side(csa, {P(0)})).orient(False)
+    ob = Separation(csb, SymbolicSubset.family_side(csb, {P(1)})).orient(False)
     assert not le(oa, ob) and not le(ob, oa)
 
 
@@ -222,7 +211,7 @@ def test_le_transitive_on_samples(fixtures):
 
 def test_singleton_is_star(comb_cs):
     side = SymbolicSubset.family_side(comb_cs, {P(0)})
-    assert is_star([toward_components(comb_cs, side)])
+    assert is_star([Separation(comb_cs, side).orient(True)])
 
 
 def test_component_star_has_interior_x(fixtures):
@@ -231,12 +220,12 @@ def test_component_star_has_interior_x(fixtures):
     g = fixtures["comb"]
     cs = delete(g, {P(0)})
     members = [
-        away_from_components(cs, SymbolicSubset(cs, explicit_in={d.key()}))
+        Separation(cs, SymbolicSubset(cs, explicit_in={d.key()})).orient(False)
         for d in cs.cx_minus()
     ] + [
-        away_from_components(cs, SymbolicSubset.family_side(cs, Y).union(
-            SymbolicSubset(cs, explicit_in={d.key() for d in cs.family(Y).explicit})
-        ))
+        Separation(cs, SymbolicSubset(
+            cs, {d.key() for d in cs.family(Y).explicit}, SymbolicSubset.family_side(cs, Y).rules
+        )).orient(False)
         for Y in sorted(cs.crit(), key=lambda Y: sorted(map(str, Y)))
     ]
     assert is_star(members)
@@ -248,15 +237,15 @@ def test_component_star_has_interior_x(fixtures):
 def test_two_separations_pointing_away_not_star(fixtures):
     g = fixtures["ray"]
     cs1, cs2 = delete(g, {P(0)}), delete(g, {P(0), P(1)})
-    o1 = away_from_components(cs1, SymbolicSubset(cs1, explicit_in={cs1.tail_descriptor("s1").key()}))
-    o2 = toward_components(cs2, SymbolicSubset(cs2, explicit_in={cs2.tail_descriptor("s1").key()}))
+    o1 = Separation(cs1, SymbolicSubset(cs1, explicit_in={cs1.tail_descriptor("s1").key()})).orient(False)
+    o2 = Separation(cs2, SymbolicSubset(cs2, explicit_in={cs2.tail_descriptor("s1").key()})).orient(True)
     assert not is_star([o1, o2])
     with pytest.raises(NotAStarError):
         interior([o1, o2])
 
 
 def test_interior_single_infinite_side(comb_cs):
-    o = toward_components(comb_cs, SymbolicSubset.family_side(comb_cs, {P(0)}))
+    o = Separation(comb_cs, SymbolicSubset.family_side(comb_cs, {P(0)})).orient(True)
     assert not is_finite(interior([o]))
 
 
@@ -269,9 +258,8 @@ def test_interior_empty_star_is_everything(fixtures):
 # ---------------------------------------------------------------------------
 # Consistency
 
-def test_empty_orientation_consistent():
-    ok, witness = is_consistent([])
-    assert ok and witness is None
+def test_empty_orientation_consistent(fixtures):
+    assert _first_violation(*SeparationSystem(fixtures["ray"], []).sides(())) is None
 
 
 def test_constructed_inconsistency_on_ray(fixtures):
@@ -279,10 +267,10 @@ def test_constructed_inconsistency_on_ray(fixtures):
     cs1, cs2 = delete(g, {P(0)}), delete(g, {P(0), P(1)})
     tail1 = SymbolicSubset(cs1, explicit_in={cs1.tail_descriptor("s1").key()})
     tail2 = SymbolicSubset(cs2, explicit_in={cs2.tail_descriptor("s1").key()})
-    away = away_from_components(cs1, tail1)
-    toward = toward_components(cs2, tail2)
-    ok, witness = is_consistent([away, toward])
-    assert not ok and set(witness) == {away, toward}
+    away = Separation(cs1, tail1).orient(False)
+    toward = Separation(cs2, tail2).orient(True)
+    verdict = check_members([away, toward], g)
+    assert not verdict.ok and set(verdict.violation) == {away, toward}
 
 
 # ---------------------------------------------------------------------------
@@ -290,19 +278,19 @@ def test_constructed_inconsistency_on_ray(fixtures):
 
 def test_finite_sides_are_tame(comb_cs):
     for d in comb_cs.explicit_descriptors:
-        assert is_tame(Separation(comb_cs, SymbolicSubset(comb_cs, explicit_in={d.key()})))
-    assert is_tame(Separation(comb_cs, SymbolicSubset(comb_cs, rules={("pfan", "s1", 0): rule_singletons([0, 4])})))
+        assert Separation(comb_cs, SymbolicSubset(comb_cs, explicit_in={d.key()})).is_tame()
+    assert Separation(comb_cs, SymbolicSubset(comb_cs, rules={("pfan", "s1", 0): rule_singletons([0, 4])})).is_tame()
 
 
 def test_parity_side_not_tame(comb_cs):
     sep = Separation(comb_cs, SymbolicSubset(comb_cs, rules={("pfan", "s1", 0): FamilyRule("even")}))
-    assert not is_tame(sep)
+    assert not sep.is_tame()
 
 
 def test_cofinite_family_side_tame(fixtures):
     cs = delete(fixtures["thetafan"], {core("a"), core("b")})
     side = SymbolicSubset(cs, rules={("fan", "f1"): FamilyRule("true", frozenset({0, 1}))})
-    assert is_tame(Separation(cs, side))
+    assert Separation(cs, side).is_tame()
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +350,7 @@ def test_lemma_5_3_closure_under_intersection(fixtures):
     for xi in (end_point("s1"), crit_point(g, {P(0)}), crit_point(g, {P(1)})):
         taken = []
         for side in (
-            SymbolicSubset.full(cs),
+            SymbolicSubset.empty(cs).complement(),
             SymbolicSubset.family_side(cs, {P(0)}).complement(),
             SymbolicSubset.family_side(cs, {P(1)}).complement(),
             SymbolicSubset(cs, rules={h0: FamilyRule("true", frozenset({2}))}).complement().complement(),
@@ -370,22 +358,22 @@ def test_lemma_5_3_closure_under_intersection(fixtures):
             o = orient_by_point(xi, Separation(cs, side))
             taken.append(o.big_subset())
         for a, b in itertools.combinations(taken, 2):
-            meet = a.intersection(b)
+            meet = _meet(a, b)
             o = orient_by_point(xi, Separation(cs, meet))
             assert o.big_subset() == meet
 
 
 # ---------------------------------------------------------------------------
-# check_tangle
+# Tangle checks
 
 def test_points_induce_tangles_within_horizon(fixtures):
     from omegagraph.cli import _enumerate_seps
 
     for name in FIXTURE_NAMES:
         g = fixtures[name]
-        seps = _enumerate_seps(g, 2, 2)
+        system = SeparationSystem(g, _enumerate_seps(g, 2, 2))
         for xi in all_points(g, 3):
-            verdict = check_tangle(induced_orientation(xi, seps), g)
+            verdict = system.check(system.orient(xi))
             assert verdict.ok, (name, str(xi))
 
 
@@ -393,19 +381,16 @@ def test_larger_bases_still_tangle_on_comb(fixtures):
     # one deeper sample: base sets of size 3
     g = fixtures["comb"]
     cs = delete(g, {P(0), P(1), P(2)})
-    seps = enumerate_tame_separations(cs)
+    system = SeparationSystem(g, enumerate_tame_separations(cs))
     for xi in (end_point("s1"), crit_point(g, {P(1)})):
-        assert check_tangle(induced_orientation(xi, seps), g).ok
+        assert system.check(system.orient(xi)).ok
 
 
 def test_forbidden_star_on_ray(fixtures):
     g = fixtures["ray"]
     cs = delete(g, {P(2)})
-    both = [
-        away_from_components(cs, SymbolicSubset(cs, explicit_in={d.key()}))
-        for d in cs.explicit_descriptors
-    ]
-    verdict = check_tangle(both, g)
+    both = [Separation(cs, SymbolicSubset(cs, explicit_in={d.key()})).orient(False) for d in cs.explicit_descriptors]
+    verdict = check_members(both, g)
     assert not verdict.ok and verdict.star
     assert is_finite(interior(list(verdict.star)))
 
@@ -413,40 +398,33 @@ def test_forbidden_star_on_ray(fixtures):
 def test_consistency_violation_verdict(fixtures):
     g = fixtures["ray"]
     cs1, cs2 = delete(g, {P(0)}), delete(g, {P(0), P(1)})
-    away = away_from_components(cs1, SymbolicSubset(cs1, explicit_in={cs1.tail_descriptor("s1").key()}))
-    toward = toward_components(cs2, SymbolicSubset(cs2, explicit_in={cs2.tail_descriptor("s1").key()}))
-    verdict = check_tangle([away, toward], g)
+    away = Separation(cs1, SymbolicSubset(cs1, explicit_in={cs1.tail_descriptor("s1").key()})).orient(False)
+    toward = Separation(cs2, SymbolicSubset(cs2, explicit_in={cs2.tail_descriptor("s1").key()})).orient(True)
+    verdict = check_members([away, toward], g)
     assert not verdict.ok and verdict.violation is not None
 
 
-def test_orientation_type_rejects_double_orientation(comb_cs):
-    side = SymbolicSubset.family_side(comb_cs, {P(0)})
-    sep = Separation(comb_cs, side)
-    with pytest.raises(ValueError):
-        Orientation([sep.orient(True), sep.orient(False)])
-
-
 def test_check_tangle_rejects_untame(comb_cs):
+    # one untame member among tame ones is enough
     sep = Separation(comb_cs, SymbolicSubset(comb_cs, rules={("pfan", "s1", 0): FamilyRule("even")}))
+    members = [s.orient(True) for s in enumerate_tame_separations(comb_cs) + [sep]]
     with pytest.raises(NotTameError):
-        check_tangle([sep.orient(True)])
+        check_members(members, comb_cs.g)
 
 
 def test_check_tangle_of_the_empty_orientation(fixtures):
-    # with its graph the empty orientation gets a verdict: it has no star
-    # but the empty one, whose interior is the whole graph
-    assert check_tangle([], fixtures["comb"]) == TangleVerdict(True)
+    # the empty orientation has no star but the empty one, whose interior
+    # is the whole graph
+    assert SeparationSystem(fixtures["comb"], []).check(()) == TangleVerdict(True)
     finite = validate({"core": {"vertices": ["a", "b"], "edges": [["a", "b"]]}})
-    assert check_tangle([], finite) == TangleVerdict(False, star=())
-    # without it, nothing says which graph the orientation lives on
-    with pytest.raises(GraphRequiredError):
-        check_tangle([])
+    assert SeparationSystem(finite, []).check(()) == TangleVerdict(False, star=())
 
 
 def test_separation_system_matches_check_tangle(fixtures):
-    # one system per list gives the verdicts and witnesses of check_tangle
-    # on each orientation's members: induced ones, and ones with some
-    # members reversed, which are mostly not tangles
+    # one system per list orients each separation as the point does alone,
+    # and gives the verdicts and witnesses of the symbolic check on each
+    # orientation's members: induced ones, and ones with some members
+    # reversed, which are mostly not tangles
     verdicts = set()
     for name in FIXTURE_NAMES:
         g = fixtures[name]
@@ -454,11 +432,11 @@ def test_separation_system_matches_check_tangle(fixtures):
         system = SeparationSystem(g, seps)
         for n, xi in enumerate(all_points(g, 2)):
             toward = system.orient(xi)
-            assert toward == tuple(m.toward_side for m in induced_orientation(xi, seps))
+            assert toward == tuple(orient_by_point(xi, sep).toward_side for sep in seps)
             flipped = tuple(t != (i % (n + 3) == 0) for i, t in enumerate(toward))
             for bits in (toward, flipped):
                 verdict = system.check(bits)
-                assert verdict == check_tangle([sep.orient(t) for sep, t in zip(seps, bits)], g)
+                assert verdict == symbolic_check_tangle([sep.orient(t) for sep, t in zip(seps, bits)], g)
                 verdicts.add((verdict.ok, verdict.violation is not None, verdict.star is not None))
     assert verdicts == {(True, False, False), (False, True, False)}
 
@@ -483,8 +461,8 @@ def test_perturbation_preserves_induced_orientation(fixtures):
     for xi in (end_point("s1"), crit_point(g, {P(0)}), crit_point(g, {P(3)})):
         base = orient_by_point(xi, sep)
         for toggles in ([(h, 0)], [(h, 0), (h, 1)]):
-            perturbed = perturb_separation(sep, copy_toggles=toggles)
-            after = orient_by_point(xi, perturbed)
+            side = functools.reduce(lambda side, hk: side.with_member_toggled(*hk), toggles, sep.side)
+            after = orient_by_point(xi, Separation(cs, side))
             mode, payload = point_filter(cs, xi)
             if mode == "principal":
                 key = payload.key()
@@ -578,7 +556,7 @@ def test_separation_sides_partition_on_truncations(fixtures):
     fg = truncate(g, cs.stabilization_bound + 2, cs.stabilization_bound + 2)
     for sep in enumerate_tame_separations(cs)[:10]:
         o = sep.orient(True)
-        A, B = o.small_set(), o.big_set()
+        A, B = small_set(o), big_set(o)
         for v in fg.vertices:
             in_a, in_b = A.contains(v), B.contains(v)
             assert in_a or in_b
@@ -610,9 +588,8 @@ def test_empty_attachment_fan_makes_empty_set_critical():
     assert cs.crit() == {frozenset()}
     (d,) = cs.descriptors
     assert d.kind == "family" and d.neighborhood == frozenset()
-    xi = crit_point(g, frozenset())
-    seps = enumerate_tame_separations(cs)
-    assert check_tangle(induced_orientation(xi, seps), g).ok
+    system = SeparationSystem(g, enumerate_tame_separations(cs))
+    assert system.check(system.orient(crit_point(g, frozenset()))).ok
 
 
 def test_two_fans_sharing_a_neighborhood(fixtures):
@@ -638,15 +615,13 @@ def test_two_fans_sharing_a_neighborhood(fixtures):
     # the collection infinite/infinite
     side = SymbolicSubset.family_side(cs, Y).with_member_toggled(("fan", "f2"), 0)
     sep = Separation(cs, side)
-    assert is_tame(sep)
+    assert sep.is_tame()
     o = orient_by_point(crit_point(g, Y), sep)
     assert o.toward_side
     half = SymbolicSubset(cs, rules={("fan", "f1"): RULE_TRUE})
-    assert not is_tame(Separation(cs, half))
-    verdict = check_tangle(
-        induced_orientation(crit_point(g, Y), enumerate_tame_separations(cs)), g
-    )
-    assert verdict.ok
+    assert not Separation(cs, half).is_tame()
+    system = SeparationSystem(g, enumerate_tame_separations(cs))
+    assert system.check(system.orient(crit_point(g, Y))).ok
 
 
 def _state(sep):
@@ -659,27 +634,29 @@ def test_tangle_checks_leave_separations_unchanged(fixtures):
     seps = _enumerate_seps(g, 2, 3)
     before = [_state(sep) for sep in seps]
     system = SeparationSystem(g, seps)
-    o = induced_orientation(end_point("s1"), seps)
-    assert system.check(system.orient(end_point("s1"))).ok
-    assert check_tangle(o, g).ok and is_consistent(o) == (True, None)
-    for m in o:
-        m.big_set()
-        m.small_set()
+    toward = system.orient(end_point("s1"))
+    assert system.check(toward).ok and _first_violation(*system.sides(toward)) is None
+    for sep, t in zip(seps, toward):
+        big_set(sep.orient(t))
+        small_set(sep.orient(t))
     assert [_state(sep) for sep in seps] == before
 
 
 def test_changing_a_returned_side_set_changes_no_verdict(fixtures):
     # big_set builds a fresh set for its caller: clearing it touches no
-    # separation, so a later check of the same list sees the same sides
+    # separation, so a later system over the same list sees the same sides
     g = fixtures["combo"]
     seps = _enumerate_seps(g, 2, 3)
-    verdict = check_tangle(induced_orientation(end_point("s1"), seps), g)
+    system = SeparationSystem(g, seps)
+    toward = system.orient(end_point("s1"))
+    verdict = system.check(toward)
     assert verdict.ok
-    for m in induced_orientation(end_point("s1"), seps):
-        svs = m.big_set()
+    for sep, t in zip(seps, toward):
+        svs = big_set(sep.orient(t))
         svs.tails.clear()
         svs.copies.clear()
-    assert check_tangle(induced_orientation(end_point("s1"), seps), g) == verdict
+    again = SeparationSystem(g, seps)
+    assert again.check(again.orient(end_point("s1"))) == verdict
 
 
 def test_enumerator_raises_on_an_untame_side(comb_cs, monkeypatch):
@@ -726,13 +703,12 @@ def test_invariants_hold_under_python_O():
 
 
 # ---------------------------------------------------------------------------
-# Sides as bitsets (is_consistent and check_tangle) against the symbolic le
+# Sides as bitsets (the system's consistency scan and check) against the symbolic le
 
-def symbolic_is_consistent(o):
-    """The symbolic pair scan that is_consistent replaced, kept as its reference."""
-    ms = list(o)
+def symbolic_is_consistent(ms):
+    """The symbolic pair scan that the consistency scan on ints replaced, kept as its reference."""
     for p, q in itertools.permutations(ms, 2):
-        if lt(p.reverse(), q):
+        if lt(reverse(p), q):
             return False, (p, q)
     return True, None
 
@@ -779,7 +755,7 @@ def test_side_bits_match_contains_on_the_box(case):
     if case in ("comb", "combo"):
         seps = seps + _parity_seps(g)
     system = SeparationSystem(g, seps)
-    sides = [sep.orient(of_side).big_set() for sep in seps for of_side in (False, True)]
+    sides = [big_set(sep.orient(of_side)) for sep in seps for of_side in (False, True)]
     assert [bits for pair in system.ints for bits in pair] == contains_side_bits(system.box, sides)
 
 
@@ -792,7 +768,7 @@ def test_side_bits_match_subseteq(case):
     ms = [sep.orient(rng.random() < 0.5) for sep in seps]
     _, smalls, bigs = orientation_bits(ms, g)
     bits = smalls + bigs
-    sides = [m.small_set() for m in ms] + [m.big_set() for m in ms]
+    sides = [small_set(m) for m in ms] + [big_set(m) for m in ms]
     disagreements = [
         (a, b)
         for a, b in itertools.product(range(len(sides)), repeat=2)
@@ -809,7 +785,7 @@ def test_side_bits_see_past_the_last_named_period(fixtures):
     tail = Separation(cs1, SymbolicSubset(cs1, explicit_in={cs1.tail_descriptor("s1").key()}))
     first = Separation(cs2, SymbolicSubset(cs2, explicit_in={cs2.locate(P(1)).key()}))
     (_, tail_bits), (_, first_bits) = SeparationSystem(g, [tail, first]).ints
-    tail_set, first_set = tail.orient(True).big_set(), first.orient(True).big_set()
+    tail_set, first_set = big_set(tail.orient(True)), big_set(first.orient(True))
     assert tail_bits & ~first_bits and not subseteq(tail_set, first_set)
     assert not first_bits & ~tail_bits and subseteq(first_set, tail_set)
 
@@ -829,17 +805,20 @@ def test_box_takes_copies_up_to_the_last_named_one(fixtures):
 @pytest.mark.parametrize("case", _CASES)
 def test_is_consistent_matches_symbolic_scan(case):
     g, seps = _graph_and_seps(case)
+    system = SeparationSystem(g, seps)
     points = all_points(g, 1)
     rng = random.Random(case)
     for trial in range(4):
         if points:
-            ms = list(induced_orientation(rng.choice(points), seps))
+            toward = system.orient(rng.choice(points))
         else:
-            ms = [sep.orient(rng.random() < 0.5) for sep in seps]
+            toward = [rng.random() < 0.5 for _ in seps]
         # the first trial keeps the induced orientation; the others reverse
         # some members, which usually makes it inconsistent
-        ms = [m.reverse() if trial and rng.random() < 0.1 else m for m in ms]
-        assert is_consistent(ms) == symbolic_is_consistent(ms)
+        toward = [t != bool(trial and rng.random() < 0.1) for t in toward]
+        ms = [sep.orient(t) for sep, t in zip(seps, toward)]
+        pair = _first_violation(*system.sides(toward))
+        assert (pair is None, pair and (ms[pair[0]], ms[pair[1]])) == symbolic_is_consistent(ms)
 
 
 def _brute_force_tangle(ms, g) -> bool:
@@ -872,8 +851,8 @@ def test_check_tangle_matches_star_enumeration(data):
         pool = vertex_pool(g, 2, 2)
         X = data.draw(st.lists(st.sampled_from(pool), max_size=2)) if pool else []
         ms = [sep.orient(False) for sep in _some(data, enumerate_tame_separations(delete(g, X)))]
-    ms = [m.reverse() if data.draw(st.integers(0, 5)) == 0 else m for m in ms]
-    verdict = check_tangle(ms, g)
+    ms = [reverse(m) if data.draw(st.integers(0, 5)) == 0 else m for m in ms]
+    verdict = check_members(ms, g)
     assert verdict.ok == _brute_force_tangle(ms, g)
     if verdict.violation is not None:
         assert verdict.violation == symbolic_is_consistent(ms)[1]
@@ -902,8 +881,8 @@ def test_int_star_search_matches_symbolic_search(data):
     if points and data.draw(st.booleans()):
         xi = data.draw(st.sampled_from(points))
         ms += [orient_by_point(xi, sep) for sep in _some(data, seps, 10)]
-    ms = [m.reverse() if data.draw(st.integers(0, 9)) == 0 else m for m in ms]
-    assert check_tangle(ms, g) == symbolic_check_tangle(ms, g)
+    ms = [reverse(m) if data.draw(st.integers(0, 9)) == 0 else m for m in ms]
+    assert check_members(ms, g) == symbolic_check_tangle(ms, g)
 
 
 def _sides_over(universe, data):
@@ -925,7 +904,7 @@ def test_first_violation_matches_pair_scan(data):
 def test_check_tangle_calls_no_contains(fixtures, monkeypatch):
     # the sides' ints come from their descriptions, not from membership tests
     g = fixtures["combo"]
-    o = induced_orientation(end_point("s1"), _enumerate_seps(g, 3, 3))
+    seps = _enumerate_seps(g, 3, 3)
     calls = 0
     contains = SymbolicVertexSet.contains
 
@@ -935,7 +914,8 @@ def test_check_tangle_calls_no_contains(fixtures, monkeypatch):
         return contains(self, v)
 
     monkeypatch.setattr(SymbolicVertexSet, "contains", counting_contains)
-    assert check_tangle(o, g).ok
+    system = SeparationSystem(g, seps)
+    assert system.check(system.orient(end_point("s1"))).ok
     assert calls == 0
 
 
@@ -953,7 +933,8 @@ def test_tameness_is_decided_once_per_separation(fixtures, monkeypatch):
     seps = _enumerate_seps(g, 2, 3)
     enumerated = calls
     assert enumerated > 0
-    assert check_tangle(induced_orientation(end_point("s1"), seps), g).ok
+    system = SeparationSystem(g, seps)
+    assert system.check(system.orient(end_point("s1"))).ok
     assert calls == enumerated
 
 
@@ -963,11 +944,11 @@ def test_star_search_takes_the_graphs_features_in_declaration_order():
     g = _declared_in_reverse(_two_ended())
     cs = delete(g, {core("c"), core("d")})
     away = {
-        d.tails[0].strip: away_from_components(cs, SymbolicSubset(cs, explicit_in={d.key()}))
+        d.tails[0].strip: Separation(cs, SymbolicSubset(cs, explicit_in={d.key()})).orient(False)
         for d in cs.explicit_descriptors
     }
     ms = [away["s1"], away["s2"]]
-    verdict = check_tangle(ms, g)
+    verdict = check_members(ms, g)
     assert verdict == symbolic_check_tangle(ms, g)
     assert verdict.star == (away["s2"], away["s1"])
 
@@ -994,3 +975,35 @@ def test_enumerated_separations_are_distinct_across_bases(fixtures):
     for name in FIXTURE_NAMES:
         seps = _enumerate_seps(fixtures[name], 2, 3)
         assert len({sep.underlying_key() for sep in seps}) == len(seps), name
+
+
+def _defined_names(statement) -> set:
+    if isinstance(statement, ast.Assign):
+        return {t.id for t in statement.targets if isinstance(t, ast.Name)}
+    return {statement.name} if isinstance(statement, (ast.FunctionDef, ast.ClassDef)) else set()
+
+
+def _read_names(tree) -> set:
+    """Identifiers a tree reads, and the words of its strings other than docstrings."""
+    docstrings = {id(n.value) for n in ast.walk(tree) if isinstance(n, ast.Expr)}
+    out = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Constant) and isinstance(n.value, str) and id(n) not in docstrings:
+            out.update(re.findall(r"\w+", n.value))
+        elif isinstance(n, (ast.Name, ast.Attribute, ast.alias)):
+            out.add(n.name if isinstance(n, ast.alias) else getattr(n, "id", None) or n.attr)
+    return out
+
+
+def test_each_public_name_of_separations_is_used_outside_its_definition():
+    # dead API guard: each public top-level name is read in the library or
+    # the benchmark outside its own definition (a name the benchmark
+    # resolves from a string, like "separations.SymbolicVertexSet", counts)
+    module = Path(separations.__file__)
+    body = ast.parse(module.read_text()).body
+    used = set().union(*(_read_names(statement) - _defined_names(statement) for statement in body))
+    for path in [*module.parent.glob("*.py"), *(module.parents[2] / "bench").glob("*.py")]:
+        if path != module:
+            used |= _read_names(ast.parse(path.read_text()))
+    public = {name for statement in body for name in _defined_names(statement) if not name.startswith("_")}
+    assert len(public) > 20 and sorted(public - used) == []
