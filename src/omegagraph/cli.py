@@ -479,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delete", default="", help="comma-separated vertex tokens")
 
     p = command("critical", _cmd_critical, "enumerate critical vertex sets", "--json", "--horizon")
-    p.add_argument("--max-size", type=int, default=4)
+    p.add_argument("--max-size", type=_non_negative, default=4)
 
     command("classify", _cmd_classify, "tough / end-tough trichotomy", "--json")
 

@@ -8,6 +8,14 @@ set as limit point.  FduMaps carry finite exception tables plus one
 eventually-uniform rule per infinite family, which keeps continuity,
 composition and equality decidable.
 
+compose and maps_equal are that algebra for any two maps.  The inverse
+system check (verify_system) runs 4**n chains over a power set of size
+2**n, so it reads each bonding map once into a slot table instead: the
+points of each space plus one generic slot per infinite family, whose
+copies every map treats alike.  A chain's composite is then a tuple
+lookup and its verdict ==, exactly as maps_equal would decide it
+(_slot_tables gives the argument).
+
 Points are tagged tuples:
     ("named", descriptor_key)   an explicit component
     ("member", handle, k)       copy k of an infinite family
@@ -425,8 +433,11 @@ def verify_system(css: dict, maps: dict) -> SystemReport:
     """Functoriality, agreement with component bonding, and continuity.
 
     Each set's label and condition-(1) probes, each pair's label and the
-    sets above each set are built once per call; each functoriality
-    verdict is compose plus maps_equal.
+    sets above each set are built once per call, and so is each map's
+    slot table, read from the maps passed in.  Functoriality,
+    f_ki == f_ji . f_kj for every chain X_i <= X_j <= X_k, is then
+    ``tuple(map(t_ji.__getitem__, t_kj)) == t_ki``, which is exactly
+    ``maps_equal(f_ki, compose(f_ji, f_kj))`` (see ``_slot_tables``).
     """
     report = SystemReport()
     sets = sorted(css, key=lambda X: (len(X), tuple(sorted(v.sort_key() for v in X))))
@@ -454,17 +465,123 @@ def verify_system(css: dict, maps: dict) -> SystemReport:
                 ok = False
                 detail = f"family {h} member {probe.k} disagrees with component inclusion"
         report.record("condition1", pair_labels[(Xs, Xt)], ok, detail)
+    tables = _slot_tables(maps)
     above = {X: [Y for Y in sets if X <= Y] for X in sets}
     for Xi in sets:
         for Xj in above[Xi]:
             for Xk in above[Xj]:
-                if (Xk, Xj) in maps:
+                t_kj = tables.get((Xk, Xj))
+                if t_kj is not None:
                     report.record(
                         "functoriality",
                         f"{names[Xi]} <= {names[Xj]} <= {names[Xk]}",
-                        maps_equal(maps[(Xk, Xi)], compose(maps[(Xj, Xi)], maps[(Xk, Xj)])),
+                        tuple(map(tables[(Xj, Xi)].__getitem__, t_kj)) == tables[(Xk, Xi)],
                     )
     return report
+
+
+@dataclass(frozen=True)
+class _Slots:
+    """A space's slots: its points one each, then one generic copy per infinite family."""
+
+    space: FduSpace
+    index: dict  # point -> slot
+    generic: dict  # handle -> slot of its copies outside the named indices
+
+
+def _space_slots(space: FduSpace, named: frozenset) -> _Slots:
+    index = {}
+    for p in space.finite_points():
+        index.setdefault(p, len(index))
+    for c in space.clusters:
+        index.setdefault(limit_point(c.limit), len(index))
+    infinite = []
+    for h in space.handles():
+        rule = space.membership_rule(h)
+        if rule.is_infinite():
+            infinite.append(h)
+        for k in rule.members() if rule.is_finite() else sorted(named):
+            if rule(k):
+                index.setdefault(member_point(h, k), len(index))
+    return _Slots(space, index, {h: len(index) + i for i, h in enumerate(infinite)})
+
+
+def _slot_tables(maps: dict) -> dict:
+    """Each bonding map as a tuple: for each source slot, the target slot of its image.
+
+    Slots.  A copy index is named when some map gives it to a single
+    point: as an exception key or image, a const image or a limit image,
+    or when a space lists a copy among its finite points.  Each space has
+    one slot per finite point, per limit point and per member copy with
+    a named index, and one generic slot per family with infinitely many
+    members, standing for all its members with unnamed indices.
+
+    Exactness.  maps_equal(f_ki, compose(f_ji, f_kj)) holds iff
+    f_ki(p) == f_ji(f_kj(p)) for every point p of X_k's space: compose
+    applies the outer map to the inner image, and maps_equal compares
+    every finite point, limit and member copy (distinct rules on an
+    infinite family differ on all but finitely many copies).  A slot
+    other than a generic one is one point, so its table entry is exactly
+    its image's slot.  A map sends a member with an unnamed index k
+    nowhere but through its family's rule, and an identity rule keeps k:
+    so the images of such a member, along any chain, are single named
+    points or copies with index k, and two of them are equal iff their
+    slots are.  The generic slot's entry is therefore the same for every
+    copy it stands for, and equal entries mean equal images.  Named
+    indices are named in every family of every space, so an identity
+    rule never moves a named copy into a generic slot or back.
+
+    An image that is not a slot of the map's target raises
+    InvariantError, and so does an identity rule that sends some copy of
+    a generic slot outside the target family, or two maps that disagree
+    on the space over one set: the tables would then decide nothing.
+    """
+    spaces = {}
+    for (Xs, Xt), m in maps.items():
+        for X, space in ((Xs, m.src), (Xt, m.dst)):
+            known = spaces.setdefault(X, space)
+            if known is not space and known != space:
+                raise InvariantError(f"two maps disagree on the space over {sorted(map(str, X))}")
+    named = set()
+    for m in maps.values():
+        for p, q in m.exceptions.items():
+            if p[0] == "member":
+                named.add(p[2])
+            if q[0] == "member":
+                named.add(q[2])
+        for q in m.limit_images.values():
+            if q[0] == "member":
+                named.add(q[2])
+        for rule in m.handle_rules.values():
+            if rule[0] == "const" and rule[1][0] == "member":
+                named.add(rule[1][2])
+    for space in spaces.values():
+        named.update(p[2] for p in space.finite_points() if p[0] == "member")
+    named = frozenset(named)
+    slots = {X: _space_slots(space, named) for X, space in spaces.items()}
+    return {(Xs, Xt): _slot_table(m, slots[Xs], slots[Xt], named) for (Xs, Xt), m in maps.items()}
+
+
+def _slot_table(m: FduMap, src: _Slots, dst: _Slots, named: frozenset) -> tuple:
+    """m's slot table; named holds the named copy indices."""
+    get = dst.index.get
+    row = [get(m.apply(p), -1) for p in src.index]
+    for h in src.generic:
+        rule = m.handle_rules.get(h)
+        if rule is None:
+            raise KeyError(f"no rule for family {h}")
+        if rule[0] == "const":
+            row.append(get(rule[1], -1))
+            continue
+        # every member outside the named indices must be a member of the target family
+        members, target = src.space.membership_rule(h), dst.space.membership_rule(rule[1])
+        gap = RULE_FALSE if members == target else rule_and(members, target.negate())
+        row.append(dst.generic.get(rule[1], -1) if gap.is_finite() and gap.flips <= named else -1)
+    if -1 in row:
+        i = row.index(-1)
+        points = [*src.index, *(f"the unnamed copies of {h}" for h in src.generic)]
+        raise InvariantError(f"the image of {points[i]} is not a point of the target space")
+    return tuple(row)
 
 
 def _condition1_probes(cs: ComponentSystem):

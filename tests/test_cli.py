@@ -308,6 +308,17 @@ def test_a_negative_horizon_is_a_usage_error(capsys):
         assert cli._parser().parse_args(argv + ["--horizon", "0"]).horizon == 0
 
 
+def test_a_negative_max_size_is_a_usage_error(capsys):
+    argv = ["critical", SPEC["comb"]]
+    for value in ("-1", "two"):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--max-size", value])
+        assert exc.value.code == 2, value
+        assert f"argument --max-size: must be a non-negative integer, got '{value}'" in capsys.readouterr().err
+    assert main(argv + ["--max-size", "0", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["bounds"]["max_size"] == 0
+
+
 def _readme_block(section: str, language: str) -> str:
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     return readme.split(f"## {section}", 1)[1].split(f"```{language}\n", 1)[1].split("```", 1)[0]

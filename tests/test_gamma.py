@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from omegagraph.components import delete
+from omegagraph.components import InvariantError, delete
 from omegagraph.gamma import (
     Cluster,
     Condition4ViolatedError,
@@ -599,45 +599,100 @@ def test_verify_system_matches_reference_loop(fixtures):
         **dict.fromkeys([("combo", 8), ("combo", 16), ("combo", 32), ("combo", 4), ("comb", 4)], want_kinds),
         **dict.fromkeys([("ray", 4), ("domray", 4)], want_kinds - {("continuity", False)}),
     }
+    # a bonding map whose own exception image is a member copy, moved to another copy
+    css, maps = build_system(*_fragment_family())
+    X, top = min(css, key=len), max(css, key=len)
+    m = maps[(top, X)]
+    (fragment,) = (p for p, q in m.exceptions.items() if q == member_point(("fan", "f1"), 1))
+    for fault in (False, True):
+        if fault:
+            m.exceptions[fragment] = member_point(("fan", "f1"), 2)
+        got = verify_system(css, maps).entries
+        assert got == _reference_verify_system(css, maps).entries, fault
+        assert {c for c, _, ok, _ in got if not ok} == ({"condition1", "functoriality"} if fault else set())
+
+
+def test_verify_system_rejects_a_map_outside_its_spaces():
+    css, maps = build_system(*_fragment_family())
+    X, top = min(css, key=len), max(css, key=len)
+    m = maps[(top, X)]
+    fragment, image = next(iter(m.exceptions.items()))
+    m.exceptions[fragment] = ("named", "nowhere")
+    with pytest.raises(InvariantError, match="is not a point of the target space"):
+        verify_system(css, maps)
+    m.exceptions[fragment] = image
+    m.handle_rules[("fan", "f1")] = ("identity", ("fan", "zz"))
+    with pytest.raises(InvariantError, match=r"the unnamed copies of \('fan', 'f1'\)"):
+        verify_system(css, maps)
+    m.handle_rules[("fan", "f1")] = ("identity", ("fan", "f1"))
+    assert verify_system(css, maps).ok
+    m.src = FduSpace()
+    with pytest.raises(InvariantError, match="two maps disagree on the space over"):
+        verify_system(css, maps)
+
+
+def _fragment_family():
+    """A two-vertex fan at deleted core vertices; the sets above delete u of copies 0 and 1.
+
+    Deleting u from a copy leaves its w a one-vertex component, which the
+    bonding map to {a, b} sends to that copy as a member point.
+    """
+    from omegagraph.pattern import validate
+    from omegagraph.ids import fanv
+
+    g = validate(
+        {
+            "core": {"vertices": ["a", "b"], "edges": []},
+            "strips": [],
+            "fans": [
+                {"id": "f1", "template": {"vertices": ["u", "w"], "edges": [["u", "w"]]},
+                 "attach": ["a", "b"], "attach_edges": [["u", "a"], ["u", "b"]]}
+            ],
+            "dominations": [],
+        }
+    )
+    X = frozenset({core("a"), core("b")})
+    u0, u1 = fanv("f1", 0, "u"), fanv("f1", 1, "u")
+    return g, [X, X | {u0}, X | {u1}, X | {u0, u1}]
 
 
 def test_system_builds_each_space_tables_once(fixtures, monkeypatch):
-    counts = {"tables": 0, "compose": 0}
-    post_init, compose_ = FduSpace.__post_init__, gamma.compose
+    counts = {"tables": 0, "slot tables": 0, "compose": 0, "maps_equal": 0}
+    post_init = FduSpace.__post_init__
 
-    def counting_post_init(self):
-        counts["tables"] += 1
-        post_init(self)
+    def counting(key, fn):
+        def wrapper(*args):
+            counts[key] += 1
+            return fn(*args)
+        return wrapper
 
-    def counting_compose(outer, inner):
-        counts["compose"] += 1
-        return compose_(outer, inner)
-
-    monkeypatch.setattr(FduSpace, "__post_init__", counting_post_init)
-    monkeypatch.setattr(gamma, "compose", counting_compose)
+    monkeypatch.setattr(FduSpace, "__post_init__", counting("tables", post_init))
+    monkeypatch.setattr(gamma, "_slot_table", counting("slot tables", gamma._slot_table))
+    monkeypatch.setattr(gamma, "compose", counting("compose", gamma.compose))
+    monkeypatch.setattr(gamma, "maps_equal", counting("maps_equal", gamma.maps_equal))
     family = _power_set(5)
     css, maps = build_system(fixtures["combo"], family)
     assert verify_system(css, maps).ok
-    # one per space (32), however many chains (243) its maps run through
-    assert counts == {"tables": len(family), "compose": 4 ** 5}, counts
+    # one per space (32) and one per map (243), however many chains (4**5) run through them
+    assert counts == {"tables": len(family), "slot tables": 3 ** 5, "compose": 0, "maps_equal": 0}, counts
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_functoriality_verdicts_go_through_maps_equal(fixtures, monkeypatch, n):
-    css, maps = build_system(fixtures["combo"], _power_set(n))
-    calls = 0
-
-    def never_equal(m1, m2):
-        nonlocal calls
-        calls += 1
-        return False
-
-    monkeypatch.setattr(gamma, "maps_equal", never_equal)
-    entries = verify_system(css, maps).entries
-    functoriality = [ok for check, _, ok, _ in entries if check == "functoriality"]
-    assert calls == len(functoriality) == 4 ** n
-    assert not any(functoriality)
-    assert all(ok for check, _, ok, _ in entries if check != "functoriality")
+def test_functoriality_fails_on_the_chains_through_a_corrupted_map(fixtures, n):
+    family = _power_set(n)
+    bottom, top = family[0], family[-1]
+    css, maps = build_system(fixtures["combo"], family)
+    m = maps[(top, bottom)]
+    label = m.src.clusters[0].limit
+    (other,) = set(m.dst.finite_points()) - {m.limit_images[label]}
+    m.limit_images[label] = other
+    failures = {(check, subject) for check, subject, ok, _ in verify_system(css, maps).entries if not ok}
+    name = lambda X: str(sorted(map(str, X)))
+    # each chain {} < X_j < top composes two untouched maps where m is the direct one; the
+    # chains {} <= {} <= top and {} <= top <= top hold, as m stands on both of their sides
+    chains = {("functoriality", f"{name(bottom)} <= {name(Xj)} <= {name(top)}") for Xj in family[1:-1]}
+    assert len(chains) == 2 ** n - 2
+    assert failures == {("continuity", f"{name(bottom)} <= {name(top)}")} | chains
 
 
 def test_fdu_space_tables_are_not_fields(fixtures):
