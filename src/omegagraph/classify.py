@@ -5,9 +5,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .ids import VertexId, core, stripv
+from .ids import VertexId, core
 from .pattern import PatternGraph, degree_class
-from .components import InvariantError, delete, is_critical
+from .components import InvariantError, anchoring_handles, delete, family_handles, handle_attach_vertices, is_critical
 
 
 @dataclass(frozen=True)
@@ -38,23 +38,13 @@ class Classification:
 def enumerate_critical(g: PatternGraph, max_size: int, horizon: int) -> list[frozenset]:
     """All critical sets of size <= max_size with period coordinates < horizon.
 
-    Complete within those bounds: in this graph class the critical sets
-    are exactly the fan attachment sets, so enumeration is a scan over
-    the declarations.
+    Complete within those bounds: the critical sets are exactly the anchor
+    sets of the families (see ``components.handle_attach_vertices``), so
+    enumeration is a scan over the core fans and the periodic fans at the
+    periods below the horizon.
     """
-    found = set()
-    for f in g.fans:
-        Y = frozenset(core(c) for c in set(f.attach))
-        if len(Y) <= max_size:
-            found.add(Y)
-    for s in g.strips:
-        if not s.periodic_fan:
-            continue
-        attach = set(s.periodic_fan.attach)
-        if len(attach) > max_size:
-            continue
-        for t in range(horizon):
-            found.add(frozenset(stripv(s.id, t, p) for p in attach))
+    anchors = (handle_attach_vertices(g, h) for h in family_handles(g, horizon))
+    found = {Y for Y in anchors if len(Y) <= max_size}
     out = sorted(found, key=lambda Y: (len(Y), tuple(sorted(v.sort_key() for v in Y))))
     for Y in out:
         if not is_critical(g, Y):
@@ -79,14 +69,8 @@ def is_tough(g: PatternGraph) -> bool:
 
 def _toughness_anchor(g: PatternGraph, strip_id: str) -> frozenset:
     """A deletion after which the strip's tail is a bare, isolated ray."""
-    X = set()
-    for f in g.fans:
-        X.update(core(c) for c in f.attach)
-    for d, _ in g.dominations:
-        X.add(core(d))
-    for c, _, _ in g.strip(strip_id).attachments:
-        X.add(core(c))
-    return frozenset(X)
+    X = {core(d) for d, _ in g.dominations} | {core(c) for c, _, _ in g.strip(strip_id).attachments}
+    return frozenset(X.union(*(handle_attach_vertices(g, h) for h in family_handles(g, 0))))
 
 
 def is_end_tough(g: PatternGraph) -> tuple[bool, tuple[EndWitness, ...]]:
@@ -137,27 +121,10 @@ def infinite_degree_explanation(g: PatternGraph, v: VertexId) -> tuple[DegreeExp
     deg = degree_class(g, v)
     if deg != math.inf:
         return (DegreeExplanation("finite", degree=deg),)
-    out = []
-    if v.kind == "core":
-        for d, sid in g.dominations:
-            if d == v.owner:
-                out.append(DegreeExplanation("dominates_end", strip=sid))
-        for f in g.fans:
-            if v.owner in f.attach:
-                Y = frozenset(core(c) for c in set(f.attach))
-                out.append(DegreeExplanation("in_critical_set", Y=Y))
-    elif v.kind == "strip":
-        s = g.strip(v.owner)
-        if s.periodic_fan and v.local in s.periodic_fan.attach:
-            Y = frozenset(stripv(s.id, v.t, p) for p in set(s.periodic_fan.attach))
-            out.append(DegreeExplanation("in_critical_set", Y=Y))
-    seen = set()
-    unique = []
-    for e in out:
-        key = (e.kind, e.strip, e.Y)
-        if key not in seen:
-            seen.add(key)
-            unique.append(e)
+    out = [DegreeExplanation("dominates_end", strip=sid) for d, sid in g.dominations if v == core(d)]
+    anchors = (handle_attach_vertices(g, h) for h in anchoring_handles(g, v))
+    out += [DegreeExplanation("in_critical_set", Y=Y) for Y in anchors if v in Y]
+    unique = tuple(dict.fromkeys(out))
     if not unique:
         raise InvariantError(f"infinite degree of {v} unexplained")
     for e in unique:
@@ -166,4 +133,4 @@ def infinite_degree_explanation(g: PatternGraph, v: VertexId) -> tuple[DegreeExp
                 raise InvariantError(f"{v} is not in the critical set of its explanation")
         elif (v.owner, e.strip) not in g.dominations:
             raise InvariantError(f"{v} does not dominate strip {e.strip}")
-    return tuple(unique)
+    return unique

@@ -22,7 +22,7 @@ import itertools
 import json
 import sys
 
-from .ids import VertexId, format_vertex, parse_vertex
+from .ids import VertexId, core, format_vertex, parse_vertex, stripv
 from .pattern import (
     PatternGraph,
     PatternValidationError,
@@ -186,10 +186,10 @@ def _default_family(g: PatternGraph, horizon: int) -> list[frozenset]:
     seeds = _classify.enumerate_critical(g, 4, max(horizon, 1))[:2]
     if not seeds:
         if g.core_vertices:
-            seeds = [frozenset({parse_vertex(f"core:{min(g.core_vertices)}")})]
+            seeds = [frozenset({core(min(g.core_vertices))})]
         elif g.strips:
             s = g.strips[0]
-            seeds = [frozenset({parse_vertex(f"strip:{s.id}/0/{min(s.locals)}")})]
+            seeds = [frozenset({stripv(s.id, 0, min(s.locals))})]
     family = {frozenset()}
     for Y in seeds:
         family.add(frozenset(Y))
@@ -239,9 +239,9 @@ def _tangle_json(system, xi, max_base: int, horizon: int) -> dict:
 
 
 def _enumerate_seps(g: PatternGraph, max_base: int, horizon: int):
-    pool = [parse_vertex(f"core:{c}") for c in g.core_vertices]
+    pool = [core(c) for c in g.core_vertices]
     for s in g.strips:
-        pool.extend(parse_vertex(f"strip:{s.id}/{t}/{l}") for t in range(horizon) for l in s.locals)
+        pool.extend(stripv(s.id, t, l) for t in range(horizon) for l in s.locals)
     pool.sort(key=VertexId.sort_key)
     # distinct bases X give distinct separations: no deduplication across them
     seps = []

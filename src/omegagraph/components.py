@@ -27,9 +27,10 @@ run, grows with the deepest period.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
-from .ids import VertexId, core, fanv, pfanv, stripv
+from .ids import VertexId, core, stripv
 from .pattern import PatternGraph, truncate
 from . import oracle as _oracle
 
@@ -118,46 +119,64 @@ class ComponentDescriptor:
         return self.families[0][1]
 
 
-def copy_vertices(g: PatternGraph, handle: Handle, k: int) -> frozenset:
+def handle_of(v: VertexId) -> Handle:
+    """The handle of the family whose copy holds the fan or periodic-fan vertex v."""
+    if v.kind not in ("fan", "pfan"):
+        raise ValueError(f"{v} lies in no fan copy")
+    return ("fan", v.owner) if v.kind == "fan" else ("pfan", v.owner, v.t)
+
+
+def family_template(g: PatternGraph, handle: Handle):
+    """(template, vertex, anchor): the family's ``Fan`` and two partials of
+    VertexId(kind, owner, t, k, local), ``vertex(k, local)`` for copy k and
+    ``anchor(name)`` for an attach name: a core vertex, or one of the period."""
     if handle[0] == "fan":
         f = g.fan(handle[1])
-        return frozenset(fanv(f.id, k, l) for l in f.locals)
-    s = g.strip(handle[1])
-    return frozenset(pfanv(s.id, handle[2], k, l) for l in s.periodic_fan.locals)
+        return f, functools.partial(VertexId, "fan", f.id, -1), functools.partial(VertexId, "core")
+    s, t = g.strip(handle[1]), handle[2]
+    return s.periodic_fan, functools.partial(VertexId, "pfan", s.id, t), functools.partial(VertexId, "strip", s.id, t, -1)
+
+
+def family_handles(g: PatternGraph, periods: int) -> list[Handle]:
+    """The core fans' handles, then each strip's periodic fan at the periods below the bound."""
+    return [("fan", f.id) for f in g.fans] + [("pfan", s.id, t) for s in g.strips if s.periodic_fan for t in range(periods)]
+
+
+def anchoring_handles(g: PatternGraph, v: VertexId) -> list[Handle]:
+    """The families whose anchors may hold v: the core fans for a core vertex,
+    the periodic fan at its period for a strip vertex."""
+    if v.kind == "core":
+        return family_handles(g, 0)
+    return [("pfan", v.owner, v.t)] if v.kind == "strip" and g.strip(v.owner).periodic_fan else []
+
+
+def copy_vertices(g: PatternGraph, handle: Handle, k: int) -> frozenset:
+    fan, vertex, _ = family_template(g, handle)
+    return frozenset(vertex(k, l) for l in fan.locals)
 
 
 def handle_attach_vertices(g: PatternGraph, handle: Handle) -> frozenset:
-    if handle[0] == "fan":
-        return frozenset(core(c) for c in set(g.fan(handle[1]).attach))
-    s = g.strip(handle[1])
-    return frozenset(stripv(s.id, handle[2], p) for p in set(s.periodic_fan.attach))
+    """The anchors of a family: the vertices each of its copies is adjacent to.
+
+    The critical sets are exactly these anchor sets.  X is critical when
+    G - X has infinitely many components with neighbourhood exactly X.  All
+    but finitely many components of G - X are whole fan copies, and a copy's
+    neighbourhood is its family's anchor set, since validation gives every
+    anchor a template edge.
+    """
+    fan, _, anchor = family_template(g, handle)
+    return frozenset(map(anchor, fan.attach))
 
 
 def is_critical(g: PatternGraph, Y) -> bool:
-    """Exact decision: Y is critical iff it matches a fan declaration.
-
-    In this graph class the only infinite same-neighbourhood component
-    families are fan copy batches, so the critical sets are exactly the
-    attachment sets of core fans and the per-period attachment sets of
-    periodic fans.
-    """
+    """Exact decision: Y is the anchor set of some family (see ``handle_attach_vertices``)."""
     Y = frozenset(Y)
     for v in Y:
         g.check_vertex(v)
-    for f in g.fans:
-        if Y == frozenset(core(c) for c in set(f.attach)):
-            return True
-    if not Y:
-        return any(not f.attach for f in g.fans)
-    sample = next(iter(Y))
-    if sample.kind != "strip":
-        return False
-    if any(v.kind != "strip" or v.owner != sample.owner or v.t != sample.t for v in Y):
-        return False
-    s = g.strip(sample.owner)
-    if not s.periodic_fan:
-        return False
-    return {v.local for v in Y} == set(s.periodic_fan.attach)
+    # each vertex of Y would be an anchor, so any one of them names the candidates
+    v = next(iter(Y), None)
+    handles = anchoring_handles(g, v) if v else family_handles(g, 0)
+    return Y in map(functools.partial(handle_attach_vertices, g), handles)
 
 
 @dataclass(frozen=True)
@@ -195,10 +214,8 @@ class ComponentSystem:
         for v in X:
             if v.kind in ("strip", "pfan"):
                 met[v.owner].append(v.t)
-            if v.kind == "fan":
-                hit.setdefault(("fan", v.owner), []).append(v.k)
-            elif v.kind == "pfan":
-                hit.setdefault(("pfan", v.owner, v.t), []).append(v.k)
+            if v.kind in ("fan", "pfan"):
+                hit.setdefault(handle_of(v), []).append(v.k)
         # horizon per strip: X and the attachments touch only periods below it, minus one
         self.T: dict[str, int] = {
             s.id: max([t for _, t, _ in s.attachments] + met[s.id], default=-2) + 2 for s in g.strips
@@ -226,8 +243,9 @@ class ComponentSystem:
             segs[s.id] = seq
         self.excl: dict[Handle, frozenset] = {h: frozenset(hit.get(h, ())) for h in handles}
         for handle, excl in self.excl.items():
-            for k in sorted(excl):
-                explicit.extend(copy_vertices(g, handle, k))
+            if excl:
+                fan, vertex, _ = family_template(g, handle)
+                explicit.extend(vertex(k, l) for k in sorted(excl) for l in fan.locals)
         nodes = [("v", v) for v in explicit if v not in X]
         nodes += [node for seq in segs.values() for _, node in seq if node]
         nodes += [("fam",) + h for h in self.excl]
@@ -269,21 +287,15 @@ class ComponentSystem:
             for t, node in segs[sid]:
                 wire(vk(core(d)), node or vk(stripv(sid, t, tgt)))
         for handle, excl in self.excl.items():
-            fan = g.fan(handle[1]) if handle[0] == "fan" else g.strip(handle[1]).periodic_fan
-            anchors = sorted(handle_attach_vertices(g, handle), key=VertexId.sort_key)
-            for av in anchors:
-                wire(("fam",) + handle, vk(av))
+            fan, vertex, anchor = family_template(g, handle)
+            # anchors of one family differ only in their name, so this is sort_key order
+            for c in sorted(set(fan.attach)):
+                wire(("fam",) + handle, vk(anchor(c)))
             for k in sorted(excl):
                 for a, b in fan.edges:
-                    if handle[0] == "fan":
-                        wire(vk(fanv(fan.id, k, a)), vk(fanv(fan.id, k, b)))
-                    else:
-                        wire(vk(pfanv(handle[1], handle[2], k, a)), vk(pfanv(handle[1], handle[2], k, b)))
+                    wire(vk(vertex(k, a)), vk(vertex(k, b)))
                 for l, c in fan.attach_edges:
-                    if handle[0] == "fan":
-                        wire(vk(fanv(fan.id, k, l)), vk(core(c)))
-                    else:
-                        wire(vk(pfanv(handle[1], handle[2], k, l)), vk(stripv(handle[1], handle[2], c)))
+                    wire(vk(vertex(k, l)), vk(anchor(c)))
 
         # gather classes and their material in one pass over the nodes
         classes: dict[tuple, dict] = {}
@@ -386,11 +398,8 @@ class ComponentSystem:
             return self._vertex_desc[v]
         if v.kind == "strip":
             return self.tail_descriptor(v.owner)
-        if v.kind == "fan":
-            return self.handle_descriptor(("fan", v.owner))
-        if v.kind == "pfan":
-            return self.handle_descriptor(("pfan", v.owner, v.t))
-        raise UnknownComponentError(v)
+        # core vertices are all explicit, so v is a fan or periodic-fan vertex
+        return self.handle_descriptor(handle_of(v))
 
     def family(self, Y) -> CXFamily:
         Y = frozenset(Y)
@@ -465,17 +474,17 @@ def materialize(cs: ComponentSystem, desc: ComponentDescriptor, periods: int, co
         handle, excl = desc.families[0]
         return [copy_vertices(g, handle, k) for k in range(copies) if k not in excl]
     base = set(desc.vertices)
+    families = list(desc.families)
     for seg in desc.tails:
         s = g.strip(seg.strip)
         for t in range(seg.start, periods):
             base.update(stripv(seg.strip, t, l) for l in s.locals)
-            if s.periodic_fan:
-                for k in range(copies):
-                    base.update(pfanv(seg.strip, t, k, l) for l in s.periodic_fan.locals)
-    for handle, excl in desc.families:
-        for k in range(copies):
-            if k not in excl:
-                base.update(copy_vertices(g, handle, k))
+        # a tail holds every copy of its periodic fans
+        if s.periodic_fan:
+            families += ((("pfan", s.id, t), ()) for t in range(seg.start, periods))
+    for handle, excl in families:
+        fan, vertex, _ = family_template(g, handle)
+        base.update(vertex(k, l) for k in range(copies) if k not in excl for l in fan.locals)
     return [frozenset(base)]
 
 

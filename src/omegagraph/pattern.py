@@ -178,17 +178,32 @@ def _objects(value, where, violations):
             violations.append(_malformed(f"{where}[{i}]", "an object", item))
 
 
+def _name(value, where, violations, default=None):
+    """value as a name: a string, or a number as its decimal string.  A null or
+    absent value reads as ``default`` if there is one; any other is reported."""
+    if value is None and default is not None:
+        return default
+    if isinstance(value, str) or isinstance(value, (int, float)) and not isinstance(value, bool):
+        return str(value)
+    violations.append(_malformed(where, "a name", value))
+    return default
+
+
 def _names(value, where, violations) -> tuple[str, ...]:
-    return tuple(str(x) for x in _array(value, where, violations))
+    names = [_name(x, f"{where}[{i}]", violations) for i, x in enumerate(_array(value, where, violations))]
+    return tuple(n for n in names if n is not None)
 
 
 def _edge_pairs(raw_edges, what, violations, loops=False):
     out = []
     for e in _array(raw_edges, what, violations):
-        if not isinstance(e, (list, tuple)) or len(e) != 2 or (not loops and str(e[0]) == str(e[1])):
-            violations.append(Violation("InvalidEdge", what, f"bad edge {e!r}"))
+        pair = tuple(_name(x, f"{what} edge endpoint", violations) for x in e) if isinstance(e, (list, tuple)) else ()
+        if None in pair:
             continue
-        out.append((str(e[0]), str(e[1])))
+        if len(pair) != 2 or (not loops and pair[0] == pair[1]):
+            violations.append(Violation("InvalidEdge", what, f"bad edge {e!r}"))
+        else:
+            out.append(pair)
     return tuple(out)
 
 
@@ -283,34 +298,38 @@ def validate(raw: dict) -> PatternGraph:
 
     strips = []
     for where, sraw in _objects(raw.get("strips", []), "strips", violations):
-        sid = str(sraw.get("id", f"strip{len(strips)}"))
+        sid = _name(sraw.get("id"), f"{where}.id", violations, f"strip{len(strips)}")
         period = _object(sraw.get("period", {}), f"{where}.period", violations)
         locals_ = _names(period.get("vertices", []), f"{where}.period.vertices", violations)
         internal = _edge_pairs(period.get("edges", []), f"strip {sid}", violations)
         steps = _edge_pairs(sraw.get("step_edges", []), f"strip {sid}", violations, loops=True)
         attachments = []
         for apath, a in _objects(sraw.get("attachments", []), f"{where}.attachments", violations):
+            c, l = (_name(a.get(key), f"{apath}.{key}", violations) for key in ("core", "local"))
             t = a.get("period", 0)
             if not isinstance(t, int) or isinstance(t, bool):
                 violations.append(_malformed(f"{apath}.period", "an integer", t))
-                continue
-            attachments.append((str(a.get("core")), t, str(a.get("local"))))
+            elif c is not None and l is not None:
+                attachments.append((c, t, l))
         pfan = None
         if sraw.get("periodic_fan") is not None:
             fraw = _object(sraw["periodic_fan"], f"{where}.periodic_fan", violations)
-            pfan = _parse_fan(fraw, str(fraw.get("id", f"{sid}.pf")), f"{where}.periodic_fan", violations)
+            pfan_id = _name(fraw.get("id"), f"{where}.periodic_fan.id", violations, f"{sid}.pf")
+            pfan = _parse_fan(fraw, pfan_id, f"{where}.periodic_fan", violations)
         dom = sraw.get("dominated_vertex")
-        strips.append(
-            Strip(sid, locals_, internal, steps, tuple(attachments), pfan, None if dom is None else str(dom))
-        )
+        if dom is not None:
+            dom = _name(dom, f"{where}.dominated_vertex", violations)
+        strips.append(Strip(sid, locals_, internal, steps, tuple(attachments), pfan, dom))
 
     fans = [
-        _parse_fan(fraw, str(fraw.get("id", f"fan{i}")), where, violations)
+        _parse_fan(fraw, _name(fraw.get("id"), f"{where}.id", violations, f"fan{i}"), where, violations)
         for i, (where, fraw) in enumerate(_objects(raw.get("fans", []), "fans", violations))
     ]
-    dominations = tuple(
-        (str(d.get("core")), str(d.get("strip"))) for _, d in _objects(raw.get("dominations", []), "dominations", violations)
-    )
+    dominations = []
+    for dpath, d in _objects(raw.get("dominations", []), "dominations", violations):
+        c, sid = (_name(d.get(key), f"{dpath}.{key}", violations) for key in ("core", "strip"))
+        if c is not None and sid is not None:
+            dominations.append((c, sid))
 
     # Strip ids and core fan ids key the graph's indexes; a repeated id
     # would silently shadow the earlier declaration.
@@ -423,7 +442,7 @@ def validate(raw: dict) -> PatternGraph:
 
     if violations:
         raise PatternValidationError(violations)
-    return PatternGraph(core_vertices, core_edges, tuple(strips), tuple(fans), dominations)
+    return PatternGraph(core_vertices, core_edges, tuple(strips), tuple(fans), tuple(dominations))
 
 
 def to_raw(g: PatternGraph) -> dict:

@@ -19,15 +19,13 @@ consistent, with no star of finite interior.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import operator
 import types
 from dataclasses import dataclass, field
 
-from .ids import VertexId, core, fanv, pfanv, stripv
+from .ids import VertexId, core, stripv
 from .pattern import PatternGraph
-from . import classify as _classify
 from .components import (
     ComponentSystem,
     CXFamily,
@@ -35,6 +33,10 @@ from .components import (
     InvariantError,
     NotCriticalError,
     delete,
+    family_handles,
+    family_template,
+    handle_attach_vertices,
+    handle_of,
     handle_sort_key,
     is_critical,
     unique_component_meeting,
@@ -254,13 +256,8 @@ class SymbolicVertexSet:
             return True
         if v.kind in ("strip", "pfan") and v.owner in self.tails and v.t >= self.tails[v.owner]:
             return True
-        if v.kind == "fan":
-            r = self.copies.get(("fan", v.owner))
-            return bool(r and r(v.k))
-        if v.kind == "pfan":
-            r = self.copies.get(("pfan", v.owner, v.t))
-            return bool(r and r(v.k))
-        return False
+        r = self.copies.get(handle_of(v)) if v.kind in ("fan", "pfan") else None
+        return bool(r and r(v.k))
 
 
 # ---------------------------------------------------------------------------
@@ -365,11 +362,11 @@ class _Box:
             for t in range(T + 1):
                 mask = self._place([stripv(s.id, t, l) for l in s.locals])
                 if s.periodic_fan:
-                    mask |= self._family(("pfan", s.id, t), s.periodic_fan.locals, functools.partial(pfanv, s.id, t))
+                    mask |= self._family(g, ("pfan", s.id, t))
                 period_masks.append(mask)
             self.tail[s.id] = list(itertools.accumulate(reversed(period_masks), operator.or_))[::-1]
         for f in g.fans:
-            self._family(("fan", f.id), f.locals, functools.partial(fanv, f.id))
+            self._family(g, ("fan", f.id))
         self.everything = (1 << len(self.bit)) - 1
         # masks of disjoint bits: their sum is their union
         self.base = {
@@ -386,9 +383,10 @@ class _Box:
         self.bit.update((v, 1 << (n + i)) for i, v in enumerate(vertices))
         return ((1 << len(vertices)) - 1) << n
 
-    def _family(self, handle: Handle, locals_, vertex) -> int:
-        """Bits for copies 0..K+1 of a family, whose vertices are vertex(k, local)."""
-        self.copy[handle] = [self._place([vertex(k, l) for l in locals_]) for k in range(self.K + 2)]
+    def _family(self, g: PatternGraph, handle: Handle) -> int:
+        """Bits for copies 0..K+1 of a family."""
+        fan, vertex, _ = family_template(g, handle)
+        self.copy[handle] = [self._place([vertex(k, l) for l in fan.locals]) for k in range(self.K + 2)]
         return sum(self.copy[handle])
 
     def _component(self, d) -> int:
@@ -488,18 +486,11 @@ def crit_point(g: PatternGraph, Y) -> PointOfGamma:
 
 
 def all_points(g: PatternGraph, horizon: int) -> list[PointOfGamma]:
-    """Ends plus the critical sets with period coordinates <= horizon."""
-    pts = [end_point(s.id) for s in g.strips]
-    max_size = max(
-        [len(set(f.attach)) for f in g.fans]
-        + [len(set(s.periodic_fan.attach)) for s in g.strips if s.periodic_fan]
-        + [0]
-    )
-    pts += [PointOfGamma("crit", Y=Y) for Y in sorted(
-        _classify.enumerate_critical(g, max_size, horizon + 1),
-        key=lambda Y: tuple(sorted(v.sort_key() for v in Y)),
-    )]
-    return pts
+    """Ends plus the critical sets, the families' anchor sets, with period coordinates <= horizon."""
+    crit = {handle_attach_vertices(g, h) for h in family_handles(g, horizon + 1)}
+    return [end_point(s.id) for s in g.strips] + [
+        PointOfGamma("crit", Y=Y) for Y in sorted(crit, key=lambda Y: tuple(sorted(v.sort_key() for v in Y)))
+    ]
 
 
 def point_filter(cs: ComponentSystem, xi: PointOfGamma):
@@ -591,7 +582,7 @@ class SeparationSystem:
             "names": tuple(zip(names[0::2], names[1::2])),
             "feats": tuple(map(box.tail_feature, strips)) + tuple(map(box.family_feature, handles)),
             "root": tuple(box.tail_feature(s.id) for s in self.g.strips)
-            + tuple(box.family_feature(("fan", f.id)) for f in self.g.fans),
+            + tuple(map(box.family_feature, family_handles(self.g, 0))),
             "tame": all(sep.is_tame() for sep in seps),
         }
         for name, value in built.items():

@@ -100,12 +100,21 @@ def test_enumerate_critical_monotone(fixtures):
 
 
 def test_enumerate_critical_matches_family_counts(fixtures):
-    # every enumerated set is critical for the component system too
-    for name in FIXTURE_NAMES:
-        g = fixtures[name]
-        for Y in enumerate_critical(g, 4, 2):
-            cs = delete(g, Y)
-            assert Y in cs.crit()
+    # the closed form (critical sets are the families' anchor sets) against
+    # the definition: G - Y has infinitely many components with neighbourhood Y
+    rng = random.Random(23)
+    graphs = [fixtures[n] for n in FIXTURE_NAMES] + [random_pattern(seed) for seed in range(200)]
+    for g in graphs:
+        enumerated = enumerate_critical(g, 10, 4)
+        for Y in enumerated:
+            assert Y in delete(g, Y).crit()
+        for _ in range(10):
+            X = random_deletion(g, rng)
+            crit = delete(g, X).crit()
+            for N in crit:
+                assert is_critical(g, N)
+                assert N in enumerated or any(v.t >= 4 for v in N)
+            assert is_critical(g, X) == (X in crit)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,8 @@ from omegagraph.components import (
     YContainedInXError,
     bonding_c,
     delete,
+    handle_attach_vertices,
+    handle_of,
     is_critical,
     materialize,
     oracle_mismatch,
@@ -25,7 +27,7 @@ from omegagraph import oracle
 from omegagraph.ids import core, stripv
 from omegagraph.oracle import components_after_deletion, count_by_neighborhood
 from omegagraph.pattern import UnknownVertexError, to_raw, truncate, validate
-from conftest import FIXTURE_NAMES, random_deletion, random_pattern
+from conftest import FIXTURE_NAMES, random_deletion, random_pattern, vertex_pool
 
 
 def _Y(*vs):
@@ -268,6 +270,23 @@ def test_is_critical(fixtures):
     assert not is_critical(fixtures["ray"], {stripv("s1", 0, "p")})
     assert not is_critical(fixtures["thetafan"], {core("a")})
     assert is_critical(fixtures["combo"], {core("a"), core("b")})
+
+
+def test_copies_and_anchors_match_truncation(fixtures):
+    # in the truncation, each copy's neighbours outside it are its family's anchors
+    graphs = [fixtures[n] for n in FIXTURE_NAMES] + [random_pattern(seed) for seed in range(100)]
+    for g in graphs:
+        adj = truncate(g, 3, 3).adjacency()
+        handles = [("fan", f.id) for f in g.fans]
+        handles += [("pfan", s.id, t) for s in g.strips if s.periodic_fan for t in range(3)]
+        for h in handles:
+            for k in range(3):
+                copy = copy_vertices(g, h, k)
+                outside = set().union(*(adj[v] for v in copy)) - copy
+                assert outside == handle_attach_vertices(g, h), (h, k)
+        for v in vertex_pool(g):
+            if v.kind in ("fan", "pfan"):
+                assert v in copy_vertices(g, handle_of(v), v.k)
 
 
 # ---------------------------------------------------------------------------

@@ -241,7 +241,7 @@ def _replaced(raw, path, value):
     return raw
 
 
-# all but the last raised a raw TypeError, AttributeError or ValueError before
+# down to attach-edge-1, these raised a raw TypeError, AttributeError or ValueError before
 MALFORMED = {
     "core-vertices-int": (("core", "vertices"), 5, "MalformedField"),
     "core-list": (("core",), ["c"], "MalformedField"),
@@ -256,6 +256,20 @@ MALFORMED = {
     "attach-edge-1": (("fans", 0, "attach_edges", 0), ["u"], "InvalidEdge"),
     # names are read as strings, so this was accepted as the loop ("1", "1")
     "core-loop-int-str": (("core",), {"vertices": ["1"], "edges": [[1, "1"]]}, "InvalidEdge"),
+    # str() read these as the names 'None', 'True', "['x']" and so on
+    "core-vertex-null": (("core", "vertices"), ["c", None], "MalformedField"),
+    "core-vertex-bool": (("core", "vertices"), ["c", True], "MalformedField"),
+    "core-vertex-array": (("core", "vertices"), ["c", ["x"]], "MalformedField"),
+    "core-edge-endpoint-null": (("core", "edges"), [["c", None]], "MalformedField"),
+    "strip-id-object": (("strips", 0, "id"), {"x": 1}, "MalformedField"),
+    "step-edge-endpoint-array": (("strips", 0, "step_edges", 0), ["p", ["p"]], "MalformedField"),
+    "attachment-core-missing": (("strips", 0, "attachments", 0), {"period": 0, "local": "p"}, "MalformedField"),
+    "attachment-local-null": (("strips", 0, "attachments", 0, "local"), None, "MalformedField"),
+    "dominated-vertex-array": (("strips", 0, "dominated_vertex"), ["p"], "MalformedField"),
+    "fan-id-bool": (("fans", 0, "id"), False, "MalformedField"),
+    "fan-attach-object": (("fans", 0, "attach"), ["c", {}], "MalformedField"),
+    "domination-strip-missing": (("dominations",), [{"core": "c"}], "MalformedField"),
+    "domination-core-bool": (("dominations",), [{"core": True, "strip": "s"}], "MalformedField"),
 }
 
 
@@ -281,6 +295,14 @@ def test_unparseable_name_rejected(name, renamed, kind):
     with pytest.raises(PatternValidationError) as exc:
         validate(raw)
     assert [v.kind for v in exc.value.violations] == [kind]
+
+
+def test_null_id_reads_as_missing():
+    raw = _ray_raw()
+    del raw["strips"][0]["id"], raw["fans"][0]["id"]
+    nulled = _replaced(_replaced(_ray_raw(), ("strips", 0, "id"), None), ("fans", 0, "id"), None)
+    assert validate(nulled) == validate(raw)
+    assert [s.id for s in validate(nulled).strips] == ["strip0"]
 
 
 _NAMES = st.text(st.sampled_from("ab0 é/,:{}"), max_size=3)
