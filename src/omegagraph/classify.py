@@ -5,9 +5,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .ids import VertexId, core
+from .ids import VertexId, core, vertex_set_key
 from .pattern import PatternGraph, degree_class
-from .components import InvariantError, anchoring_handles, delete, family_handles, handle_attach_vertices, is_critical
+from .components import InvariantError, anchoring_handles, delete, family_handles, handle_attach_vertices
 
 
 @dataclass(frozen=True)
@@ -45,26 +45,16 @@ def enumerate_critical(g: PatternGraph, max_size: int, horizon: int) -> list[fro
     """
     anchors = (handle_attach_vertices(g, h) for h in family_handles(g, horizon))
     found = {Y for Y in anchors if len(Y) <= max_size}
-    out = sorted(found, key=lambda Y: (len(Y), tuple(sorted(v.sort_key() for v in Y))))
-    for Y in out:
-        if not is_critical(g, Y):
-            raise InvariantError(f"enumerated set {sorted(map(str, Y))} is not critical")
-    return out
+    return sorted(found, key=lambda Y: (len(Y), vertex_set_key(Y)))
 
 
 def is_tough(g: PatternGraph) -> bool:
     """No finite deletion leaves infinitely many components.
 
     Infinite component families come from fans only, so a pattern graph
-    is tough iff it declares none; cross-checked against the critical
-    enumeration at horizon zero.
+    is tough iff it declares none.
     """
-    declared = not g.has_fans()
-    max_size = len(g.core_vertices) + max((len(s.locals) for s in g.strips), default=0)
-    enumerated = not enumerate_critical(g, max_size, 1)
-    if declared != enumerated:
-        raise InvariantError("declared fans and enumerated critical sets disagree on toughness")
-    return declared
+    return not g.has_fans()
 
 
 def _toughness_anchor(g: PatternGraph, strip_id: str) -> frozenset:
@@ -127,10 +117,4 @@ def infinite_degree_explanation(g: PatternGraph, v: VertexId) -> tuple[DegreeExp
     unique = tuple(dict.fromkeys(out))
     if not unique:
         raise InvariantError(f"infinite degree of {v} unexplained")
-    for e in unique:
-        if e.kind == "in_critical_set":
-            if not (is_critical(g, e.Y) and v in e.Y):
-                raise InvariantError(f"{v} is not in the critical set of its explanation")
-        elif (v.owner, e.strip) not in g.dominations:
-            raise InvariantError(f"{v} does not dominate strip {e.strip}")
     return unique

@@ -22,7 +22,7 @@ import itertools
 import json
 import sys
 
-from .ids import VertexId, core, format_vertex, parse_vertex, stripv
+from .ids import VertexId, core, format_vertex, parse_vertex, stripv, vertex_set_key
 from .pattern import (
     PatternGraph,
     PatternValidationError,
@@ -195,7 +195,7 @@ def _default_family(g: PatternGraph, horizon: int) -> list[frozenset]:
         family.add(frozenset(Y))
     if len(seeds) == 2:
         family.add(frozenset(seeds[0] | seeds[1]))
-    return sorted(family, key=lambda X: (len(X), tuple(sorted(v.sort_key() for v in X))))
+    return sorted(family, key=lambda X: (len(X), vertex_set_key(X)))
 
 
 def _system_json(family, css: dict, maps: dict) -> dict:

@@ -30,7 +30,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .ids import VertexId, core, stripv
+from .ids import VertexId, core, stripv, vertex_set_key
 from .pattern import PatternGraph, truncate
 from . import oracle as _oracle
 
@@ -91,7 +91,7 @@ class ComponentDescriptor:
         # computed once; an attribute, not a field, so ==, hash and repr ignore it
         object.__setattr__(self, "_key", (
             self.kind,
-            tuple(sorted(map(VertexId.sort_key, self.vertices))),
+            vertex_set_key(self.vertices),
             tuple((t.strip, t.start) for t in self.tails),
             tuple((h, tuple(sorted(e))) for h, e in self.families),
         ))

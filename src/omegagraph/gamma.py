@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .ids import VertexId, stripv
+from .ids import VertexId, stripv, vertex_set_key
 from .pattern import PatternGraph
 from .components import (
     ComponentDescriptor,
@@ -133,7 +133,7 @@ def gamma_space(cs: ComponentSystem) -> FduSpace:
     """The component space plus one cluster per critical subset of X."""
     isolated = tuple(named_point(d) for d in cs.cx_minus())
     clusters = []
-    for Y in sorted(cs.crit(), key=lambda Y: tuple(sorted(v.sort_key() for v in Y))):
+    for Y in sorted(cs.crit(), key=vertex_set_key):
         fam = cs.family(Y)
         clusters.append(
             Cluster(
@@ -440,7 +440,7 @@ def verify_system(css: dict, maps: dict) -> SystemReport:
     ``maps_equal(f_ki, compose(f_ji, f_kj))`` (see ``_slot_tables``).
     """
     report = SystemReport()
-    sets = sorted(css, key=lambda X: (len(X), tuple(sorted(v.sort_key() for v in X))))
+    sets = sorted(css, key=lambda X: (len(X), vertex_set_key(X)))
     names = {X: str(sorted(map(str, X))) for X in sets}
     pair_labels = {(Xs, Xt): f"{names[Xt]} <= {names[Xs]}" for Xs, Xt in maps}
     for pair in sorted(maps, key=pair_labels.__getitem__):
@@ -662,10 +662,7 @@ def quotient_to_gamma(cs: ComponentSystem, alpha: FduSpace) -> FduMap:
     handle_nbhd = {d.handle(): d.neighborhood for d in cs.family_descriptors}
     assignments = {}
     for c in alpha.clusters:
-        hits = sorted(
-            {handle_nbhd[h] for h, r in c.groups if r.is_infinite()},
-            key=lambda Y: tuple(sorted(v.sort_key() for v in Y)),
-        )
+        hits = sorted({handle_nbhd[h] for h, r in c.groups if r.is_infinite()}, key=vertex_set_key)
         if len(hits) > 1:
             raise Condition4ViolatedError(hits[0], hits[1])
         assignments[c.limit] = hits[0]

@@ -62,6 +62,11 @@ class VertexId(NamedTuple):
         return f"VertexId({format_vertex(self)!r})"
 
 
+def vertex_set_key(vertices) -> tuple:
+    """The canonical order key of a vertex set: its members' sort keys, sorted."""
+    return tuple(sorted(map(VertexId.sort_key, vertices)))
+
+
 def core(name: str) -> VertexId:
     return VertexId("core", name)
 

@@ -23,7 +23,7 @@ constructed and never mutated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from .ids import VertexId, core, fanv, pfanv, stripv
@@ -39,6 +39,9 @@ class UnknownVertexError(KeyError):
 
 @dataclass(frozen=True)
 class Violation:
+    # A name that must be a core vertex, or a local of the strip that names
+    # it, and is neither: a StripStripEdge if it is another strip's local,
+    # else a DanglingReference.
     kind: str  # StripStripEdge | DanglingReference | DisconnectedPeriodChain
     #          | AttachmentNotCovered | NameCollision | DisconnectedTemplate
     #          | InvalidEdge | DuplicateId | MalformedField | ReservedCharacter
@@ -96,14 +99,13 @@ class PatternGraph:
     strips: tuple[Strip, ...]
     fans: tuple[Fan, ...]
     dominations: tuple[tuple[str, str], ...]  # (core vertex, strip id)
-    _strip_index: dict = field(default_factory=dict, compare=False, repr=False)
-    _fan_index: dict = field(default_factory=dict, compare=False, repr=False)
-    _adjacency: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
-        self._strip_index.update({s.id: s for s in self.strips})
-        self._fan_index.update({f.id: f for f in self.fans})
-        self._adjacency.update(_adjacency_index(self))
+        # built once per graph; attributes, not fields, so ==, hash, repr and
+        # dataclasses.replace see only the spec
+        object.__setattr__(self, "_strip_index", {s.id: s for s in self.strips})
+        object.__setattr__(self, "_fan_index", {f.id: f for f in self.fans})
+        object.__setattr__(self, "_adjacency", _adjacency_index(self))
 
     def strip(self, strip_id: str) -> Strip:
         try:
@@ -248,39 +250,13 @@ def _parse_fan(raw: dict, fan_id: str, where: str, violations) -> Fan:
     return Fan(fan_id, locals_, edges, attach, attach_edges)
 
 
-def _check_fan(fan: Fan, attach_universe, attach_kind, owner, violations):
-    """Shared checks for core fans and periodic fans."""
-    locset = set(fan.locals)
-    if not fan.locals or not _connected(fan.locals, fan.edges):
-        violations.append(
-            Violation("DisconnectedTemplate", owner, "fan template must be a finite connected graph")
-        )
-    for a, b in fan.edges:
-        for x in (a, b):
-            if x not in locset:
-                violations.append(
-                    Violation("DanglingReference", owner, f"template edge endpoint {x!r} not a template vertex")
-                )
-    covered = set()
-    for l, c in fan.attach_edges:
-        if l not in locset:
-            violations.append(
-                Violation("DanglingReference", owner, f"attachment edge local {l!r} not a template vertex")
-            )
-        if c not in fan.attach:
-            violations.append(
-                Violation("DanglingReference", owner, f"attachment edge target {c!r} not in the attachment set")
-            )
-        covered.add(c)
-    for c in fan.attach:
-        if c not in attach_universe:
-            violations.append(
-                Violation("DanglingReference", owner, f"attachment vertex {c!r} is not a {attach_kind} vertex")
-            )
-        elif c not in covered:
-            violations.append(
-                Violation("AttachmentNotCovered", owner, f"attachment vertex {c!r} receives no template edge")
-            )
+def _check_template(kind, element, locals_, edges, violations, steps=()) -> list[str]:
+    """Report ``kind`` unless a period or fan template is a non-empty
+    connected graph on its locals; return the distinct endpoints of its
+    edges and ``steps`` that are not among its locals."""
+    if not locals_ or not _connected(locals_, edges):
+        violations.append(Violation(kind, element, "template must be a finite connected graph"))
+    return list(dict.fromkeys([x for e in edges + steps for x in e if x not in locals_]))
 
 
 def validate(raw: dict) -> PatternGraph:
@@ -367,76 +343,65 @@ def validate(raw: dict) -> PatternGraph:
         for l in f.locals:
             claim(l, f"fan {f.id}")
 
-    for a, b in core_edges:
-        for x in (a, b):
-            if x not in core_set:
-                kind = "StripStripEdge" if x in strip_local_owner else "DanglingReference"
-                violations.append(Violation(kind, "core", f"core edge endpoint {x!r} is not a core vertex"))
+    # Every reference is judged only now, when each strip local's owner is known.
+    def refer(names, strip, element, what) -> list[str]:
+        """Report, and return, each distinct name that is neither a core vertex
+        (strip None) nor a local of ``strip``: a StripStripEdge if another
+        strip owns it, else a DanglingReference."""
+        allowed, home = (core_set, None) if strip is None else (strip.locals, strip.id)
+        bad = []
+        for x in names:
+            if x in allowed or x in bad:
+                continue
+            bad.append(x)
+            owner = strip_local_owner.get(x, home)
+            if owner != home:
+                violations.append(Violation("StripStripEdge", element, f"{what} {x!r} belongs to strip {owner}"))
+            else:
+                place = "core vertex" if home is None else f"local of strip {home}"
+                violations.append(Violation("DanglingReference", element, f"{what} {x!r} is not a {place}"))
+        return bad
 
+    def check_fan(fan, strip, owner):
+        """Checks shared by core fans (strip None) and a strip's periodic fan."""
+        def dangling(message):
+            violations.append(Violation("DanglingReference", owner, message))
+
+        for x in _check_template("DisconnectedTemplate", owner, fan.locals, fan.edges, violations):
+            dangling(f"template edge endpoint {x!r} not a template vertex")
+        for l, c in fan.attach_edges:
+            if l not in fan.locals:
+                dangling(f"attachment edge local {l!r} not a template vertex")
+            if c not in fan.attach:
+                dangling(f"attachment edge target {c!r} not in the attachment set")
+        bad = refer(fan.attach, strip, owner, "attachment vertex")
+        covered = {c for _, c in fan.attach_edges}
+        for c in fan.attach:
+            if c not in bad and c not in covered:
+                violations.append(Violation("AttachmentNotCovered", owner, f"attachment vertex {c!r} receives no template edge"))
+        if strip is not None and not fan.attach:
+            # an unattached periodic fan would spawn a fresh component family at every single period
+            violations.append(Violation("AttachmentNotCovered", owner, "periodic fans must attach to at least one period vertex"))
+
+    refer([x for e in core_edges for x in e], None, "core", "core edge endpoint")
     for s in strips:
-        locset = set(s.locals)
-        if not s.locals or not _connected(s.locals, s.internal_edges):
-            violations.append(
-                Violation("DisconnectedPeriodChain", s.id, "period template must be a finite connected graph")
-            )
+        strays = _check_template("DisconnectedPeriodChain", s.id, s.locals, s.internal_edges, violations, s.step_edges)
+        refer(strays, s, s.id, "edge endpoint")
         if not s.step_edges:
-            violations.append(
-                Violation("DisconnectedPeriodChain", s.id, "strip needs at least one inter-period edge")
-            )
-        for a, b in s.internal_edges + s.step_edges:
-            for x in (a, b):
-                if x not in locset:
-                    if x in strip_local_owner and strip_local_owner[x] != s.id:
-                        violations.append(
-                            Violation("StripStripEdge", s.id, f"edge endpoint {x!r} belongs to strip {strip_local_owner[x]}")
-                        )
-                    else:
-                        violations.append(
-                            Violation("DanglingReference", s.id, f"edge endpoint {x!r} not a period vertex")
-                        )
-        for c, t, l in s.attachments:
-            if c not in core_set:
-                if c in strip_local_owner:
-                    violations.append(
-                        Violation("StripStripEdge", s.id, f"attachment endpoint {c!r} belongs to strip {strip_local_owner[c]}")
-                    )
-                else:
-                    violations.append(
-                        Violation("DanglingReference", s.id, f"attachment endpoint {c!r} is not a core vertex")
-                    )
+            violations.append(Violation("DisconnectedPeriodChain", s.id, "strip needs at least one inter-period edge"))
+        refer([c for c, _, _ in s.attachments], None, s.id, "attachment endpoint")
+        refer([l for _, _, l in s.attachments], s, s.id, "attachment local")
+        for _, t, _ in s.attachments:
             if t < 0:
                 violations.append(Violation("DanglingReference", s.id, f"attachment period {t} is negative"))
-            if l not in locset:
-                violations.append(Violation("DanglingReference", s.id, f"attachment local {l!r} not a period vertex"))
+        refer(() if s.dominated_vertex is None else (s.dominated_vertex,), s, s.id, "dominated vertex")
         if s.periodic_fan:
-            _check_fan(s.periodic_fan, locset, "period-template", f"periodic fan of strip {s.id}", violations)
-            if not s.periodic_fan.attach:
-                # an unattached periodic fan would spawn a fresh component
-                # family at every single period
-                violations.append(
-                    Violation(
-                        "AttachmentNotCovered",
-                        f"periodic fan of strip {s.id}",
-                        "periodic fans must attach to at least one period vertex",
-                    )
-                )
-        if s.dominated_vertex is not None and s.dominated_vertex not in locset:
-            violations.append(
-                Violation("DanglingReference", s.id, f"dominated vertex {s.dominated_vertex!r} not a period vertex")
-            )
-
+            check_fan(s.periodic_fan, s, f"periodic fan of strip {s.id}")
     for f in fans:
-        _check_fan(f, core_set, "core", f"fan {f.id}", violations)
-        for _, c in f.attach_edges:
-            if c in strip_local_owner:
-                violations.append(
-                    Violation("DanglingReference", f.id, f"fan attachment {c!r} targets strip {strip_local_owner[c]}; fans attach to core only")
-                )
-
+        check_fan(f, None, f"fan {f.id}")
+    refer([d for d, _ in dominations], None, "dominations", "dominating vertex")
     strip_ids = {s.id for s in strips}
-    for d, sid in dominations:
-        if d not in core_set:
-            violations.append(Violation("DanglingReference", "dominations", f"dominating vertex {d!r} is not a core vertex"))
+    for _, sid in dominations:
         if sid not in strip_ids:
             violations.append(Violation("DanglingReference", "dominations", f"dominated strip {sid!r} does not exist"))
 

@@ -24,7 +24,7 @@ import operator
 import types
 from dataclasses import dataclass, field
 
-from .ids import VertexId, core, stripv
+from .ids import VertexId, core, stripv, vertex_set_key
 from .pattern import PatternGraph
 from .components import (
     ComponentSystem,
@@ -277,7 +277,7 @@ class Separation:
         self.side = side
         self.co_side = co_side = side.complement()
         self._underlying_key = (
-            tuple(sorted(v.sort_key() for v in cs.X)),
+            vertex_set_key(cs.X),
             frozenset((side.key(), co_side.key())),
         )
         # tame: no critical family is split into two infinite halves
@@ -489,7 +489,7 @@ def all_points(g: PatternGraph, horizon: int) -> list[PointOfGamma]:
     """Ends plus the critical sets, the families' anchor sets, with period coordinates <= horizon."""
     crit = {handle_attach_vertices(g, h) for h in family_handles(g, horizon + 1)}
     return [end_point(s.id) for s in g.strips] + [
-        PointOfGamma("crit", Y=Y) for Y in sorted(crit, key=lambda Y: tuple(sorted(v.sort_key() for v in Y)))
+        PointOfGamma("crit", Y=Y) for Y in sorted(crit, key=vertex_set_key)
     ]
 
 
@@ -741,7 +741,7 @@ def enumerate_tame_separations(cs: ComponentSystem):
         sides.extend(SymbolicSubset(cs, explicit_in={k}) for k in explicit)
     for h, ks in usable.items():
         sides.extend(SymbolicSubset(cs, rules={h: rule_singletons([k])}) for k in ks)
-    for Y in sorted(cs.crit(), key=lambda Y: tuple(sorted(v.sort_key() for v in Y))):
+    for Y in sorted(cs.crit(), key=vertex_set_key):
         base = SymbolicSubset.family_side(cs, Y)
         sides.append(base)
         for d in cs.family(Y).families:

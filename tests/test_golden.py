@@ -2,11 +2,13 @@
 
 Each fixture runs analyze, report, components, critical, classify,
 limit, check-tangle (where a strip exists), distinguish (where two
-points exist) and export-dot.  The arguments are derived from the
-CLI's own output: the first critical set of ``critical`` and the first
-points of ``report``'s tangles.  Every strip also gets deep deletions:
-``components`` and ``limit`` with strip vertices past the first few
-periods, and a periodic-fan copy where the strip has a periodic fan.  Tangle checks run
+points exist) and export-dot.  The first run of each subcommand but
+export-dot is repeated in the default text mode, without ``--json``.
+The arguments are derived from the CLI's own output: the first
+critical set of ``critical`` and the first points of ``report``'s
+tangles.  Every strip also gets deep deletions: ``components`` and
+``limit`` with strip vertices past the first few periods, and a
+periodic-fan copy where the strip has a periodic fan.  Tangle checks run
 at depth too: ``check-tangle --horizon 3 --seps auto:2`` on every end and
 on the first critical set, and ``--seps auto:3`` on combo's end.
 Regenerate the digests only when the output is meant to change:
@@ -56,6 +58,9 @@ def cases(name: str) -> list[list[str]]:
     strips = load_fixture(name).strips
     if strips:
         argvs.append(["check-tangle", spec, "--json", "--point", f"end:{strips[0].id}"])
+    if len(points) >= 2:
+        argvs.append(["distinguish", spec, "--json", "--a", points[0], "--b", points[1]])
+    argvs.extend([a for a in argv if a != "--json"] for argv in list(argvs))
     for s in strips:
         l = s.locals[0]
         argvs.append(["components", spec, "--json", "--delete", f"strip:{s.id}/9/{l}"])
@@ -69,8 +74,6 @@ def cases(name: str) -> list[list[str]]:
         argvs.append(deep + ["auto:2", "--point", "crit:{" + first_crit + "}"])
     if name == "combo":
         argvs.append(deep + ["auto:3", "--point", "end:s1"])
-    if len(points) >= 2:
-        argvs.append(["distinguish", spec, "--json", "--a", points[0], "--b", points[1]])
     argvs.append(["export-dot", spec])
     return argvs
 

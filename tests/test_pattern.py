@@ -1,6 +1,7 @@
 """Pattern graph validation, neighborhoods, degrees, truncation."""
 
 import copy
+import dataclasses
 import json
 import math
 import random
@@ -208,6 +209,21 @@ def test_empty_periodic_fan_attach_rejected(fixtures):
         validate(raw)
 
 
+def test_replace_builds_its_own_indexes(fixtures):
+    combo, ray = fixtures["combo"], fixtures["ray"]
+    bare = dataclasses.replace(combo, strips=(), dominations=())
+    with pytest.raises(UnknownVertexError):
+        bare.strip("s1")
+    assert combo.strip("s1").id == "s1"
+    grown = dataclasses.replace(ray, core_vertices=ray.core_vertices + ("zz",))
+    assert ("core", "zz", "") in grown._adjacency
+    assert ("core", "zz", "") not in ray._adjacency
+    assert ray._adjacency == pattern._adjacency_index(ray)
+    assert [f.name for f in dataclasses.fields(PatternGraph)] == [
+        "core_vertices", "core_edges", "strips", "fans", "dominations",
+    ]
+
+
 @pytest.mark.parametrize("seed", range(25))
 def test_validation_soundness_on_random_patterns(seed):
     g = random_pattern(seed)
@@ -295,6 +311,53 @@ def test_unparseable_name_rejected(name, renamed, kind):
     with pytest.raises(PatternValidationError) as exc:
         validate(raw)
     assert [v.kind for v in exc.value.violations] == [kind]
+
+
+def _two_strips_raw():
+    """_ray_raw with a periodic fan on strip s and a second strip t, whose local is q."""
+    raw = _ray_raw()
+    raw["strips"][0]["periodic_fan"] = {
+        "id": "pf", "template": {"vertices": ["w"], "edges": []}, "attach": ["p"], "attach_edges": [["w", "p"]],
+    }
+    raw["strips"].append({"id": "t", "period": {"vertices": ["q"], "edges": []}, "step_edges": [["q", "q"]]})
+    return raw
+
+
+# one case per site of the reference rule: a name that must be a core vertex,
+# or a local of the referring strip, is a StripStripEdge when another strip
+# (t) owns it and a DanglingReference otherwise; each is reported exactly once
+REFERENCES = {
+    "core-edge": (("core", "edges"), [["c", "q"]], "StripStripEdge", "core"),
+    "period-edge": (("strips", 0, "period", "edges"), [["p", "q"]], "StripStripEdge", "s"),
+    # reported twice before: once per endpoint
+    "step-edge-unknown-loop": (("strips", 0, "step_edges"), [["p", "p"], ["z", "z"]], "DanglingReference", "s"),
+    "attachment-core": (("strips", 0, "attachments", 0, "core"), "q", "StripStripEdge", "s"),
+    # down to fan-attach, these were a DanglingReference before
+    "attachment-local": (("strips", 0, "attachments", 0, "local"), "q", "StripStripEdge", "s"),
+    "dominated-vertex": (("strips", 0, "dominated_vertex"), "q", "StripStripEdge", "s"),
+    "domination-core": (("dominations",), [{"core": "q", "strip": "s"}], "StripStripEdge", "dominations"),
+    "periodic-fan-attach": (("strips", 0, "periodic_fan", "attach"), ["p", "q"], "StripStripEdge", "periodic fan of strip s"),
+    "fan-attach": (("fans", 0, "attach"), ["c", "q"], "StripStripEdge", "fan f"),
+    # a second DanglingReference(f) came from a loop over the attach edges before
+    "fan-attached-to-strip-local": (
+        ("fans", 0), {"id": "f", "template": {"vertices": ["u"], "edges": []}, "attach": ["q"],
+                      "attach_edges": [["u", "q"]]},
+        "StripStripEdge", "fan f",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFERENCES))
+def test_bad_reference_reported_once(case):
+    path, value, kind, element = REFERENCES[case]
+    validate(_two_strips_raw())
+    with pytest.raises(PatternValidationError) as exc:
+        validate(_replaced(_two_strips_raw(), path, value))
+    [v] = exc.value.violations
+    assert (v.kind, v.element) == (kind, element)
+    name = "q" if kind == "StripStripEdge" else "z"
+    assert repr(name) in v.message
+    assert kind == "DanglingReference" or "strip t" in v.message
 
 
 def test_null_id_reads_as_missing():
