@@ -444,7 +444,8 @@ def verify_system(css: dict, maps: dict) -> SystemReport:
     names = {X: str(sorted(map(str, X))) for X in sets}
     pair_labels = {(Xs, Xt): f"{names[Xt]} <= {names[Xs]}" for Xs, Xt in maps}
     for pair in sorted(maps, key=pair_labels.__getitem__):
-        report.record("continuity", pair_labels[pair], is_continuous(maps[pair]).ok)
+        verdict = is_continuous(maps[pair])
+        report.record("continuity", pair_labels[pair], verdict.ok, verdict.witness or "")
     # condition (1): the map restricted to embedded components acts by inclusion
     probes = {X: _condition1_probes(cs) for X, cs in css.items()}
     for (Xs, Xt), m in maps.items():

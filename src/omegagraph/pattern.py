@@ -376,7 +376,7 @@ def validate(raw: dict) -> PatternGraph:
                 dangling(f"attachment edge target {c!r} not in the attachment set")
         bad = refer(fan.attach, strip, owner, "attachment vertex")
         covered = {c for _, c in fan.attach_edges}
-        for c in fan.attach:
+        for c in dict.fromkeys(fan.attach):
             if c not in bad and c not in covered:
                 violations.append(Violation("AttachmentNotCovered", owner, f"attachment vertex {c!r} receives no template edge"))
         if strip is not None and not fan.attach:
@@ -391,9 +391,8 @@ def validate(raw: dict) -> PatternGraph:
             violations.append(Violation("DisconnectedPeriodChain", s.id, "strip needs at least one inter-period edge"))
         refer([c for c, _, _ in s.attachments], None, s.id, "attachment endpoint")
         refer([l for _, _, l in s.attachments], s, s.id, "attachment local")
-        for _, t, _ in s.attachments:
-            if t < 0:
-                violations.append(Violation("DanglingReference", s.id, f"attachment period {t} is negative"))
+        for t in dict.fromkeys(t for _, t, _ in s.attachments if t < 0):
+            violations.append(Violation("MalformedField", s.id, f"attachment period {t} is negative"))
         refer(() if s.dominated_vertex is None else (s.dominated_vertex,), s, s.id, "dominated vertex")
         if s.periodic_fan:
             check_fan(s.periodic_fan, s, f"periodic fan of strip {s.id}")

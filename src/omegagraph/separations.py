@@ -19,6 +19,7 @@ consistent, with no star of finite interior.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 import types
@@ -37,7 +38,6 @@ from .components import (
     family_template,
     handle_attach_vertices,
     handle_of,
-    handle_sort_key,
     is_critical,
     unique_component_meeting,
 )
@@ -158,11 +158,14 @@ class SymbolicSubset:
         self.explicit_in = frozenset(explicit_in)
         if not self.explicit_in <= cs.explicit_keys:
             raise InvariantError("unknown explicit component")
+        rules = rules or {}
         built: dict[Handle, FamilyRule] = {}
         for d in cs.family_descriptors:
             h, excl = d.handle(), d.excluded()
-            raw = (rules or {}).get(h, RULE_FALSE)
+            raw = rules.get(h, RULE_FALSE)
             built[h] = rule_and(raw, FamilyRule("true", excl)) if excl else raw
+        if not rules.keys() <= built.keys():
+            raise InvariantError(f"unknown family {next(h for h in rules if h not in built)}")
         self.rules = types.MappingProxyType(built)  # read-only: the key below describes it
         # family descriptors, and so the rules, come in handle_sort_key order
         self._key = (
@@ -337,7 +340,9 @@ class _Box:
     holds there, which beyond K depends only on the parity of the copy, like
     copy K or K + 1.  So one side lies inside another iff ``a & ~b == 0``,
     exactly, for tame and parity rules alike, and a side is infinite iff it
-    meets ``beyond``: period T, or copy K or K + 1 of some family.
+    meets ``beyond``, the OR of the ``features``: each strip's period T, in
+    declaration order, then copies K and K + 1 of each family, in the box's
+    order.
 
     A side's int is built from its description (``side``), not vertex by
     vertex: it is the OR of the mask of its X, the mask of each explicit
@@ -373,7 +378,10 @@ class _Box:
             h: {"false": 0, "true": sum(ms), "even": sum(ms[0::2]), "odd": sum(ms[1::2])}
             for h, ms in self.copy.items()
         }
-        self.beyond = sum(self.tail_feature(s.id) for s in g.strips) | sum(map(self.family_feature, self.copy))
+        self.features = tuple(self.tail[s.id][T] for s in g.strips) + tuple(
+            copies[K] | copies[K + 1] for copies in self.copy.values()
+        )
+        self.beyond = functools.reduce(operator.or_, self.features, 0)
         self.x = {cs: sum(map(self.bit.__getitem__, cs.X)) for cs in systems}
         self.component = {d.key(): self._component(d) for cs in systems for d in cs.explicit_descriptors}
 
@@ -413,15 +421,6 @@ class _Box:
         for h, r in subset.rules.items():
             out |= self.rule(h, r)
         return out
-
-    def tail_feature(self, strip_id: str) -> int:
-        """Period T of the strip: a side meets it iff it holds the strip's tail."""
-        return self.tail[strip_id][self.T]
-
-    def family_feature(self, handle: Handle) -> int:
-        """Copies K and K + 1: a tame side meets them iff it holds infinitely many copies."""
-        copies = self.copy[handle]
-        return copies[self.K] | copies[self.K + 1]
 
 
 def _first_violation(smalls: list[int], bigs: list[int]):
@@ -554,35 +553,16 @@ class SeparationSystem:
     seps: tuple
     box: _Box = field(init=False, repr=False)
     ints: tuple = field(init=False, repr=False)  # per separation: (co-side int, side int)
-    names: tuple = field(init=False, repr=False)  # per separation: features each side's copies name
-    feats: tuple = field(init=False, repr=False)
-    root: tuple = field(init=False, repr=False)
     tame: bool = field(init=False, repr=False)
 
     def __post_init__(self):
         seps = tuple(self.seps)
         box = _Box(self.g, seps)
-        sides = [(sep.cs, subset) for sep in seps for subset in (sep.co_side, sep.side)]
-        bits = [box.side(cs, subset) for cs, subset in sides]
-        # the star search's features below the root (see ``check``): the
-        # families a side holds copies of, through its components or its rules
-        named = [
-            {h for key in subset.explicit_in for h, _ in cs.descriptor(key).families}
-            | {h for h, r in subset.rules.items() if not r.is_empty()}
-            for cs, subset in sides
-        ]
-        strips = sorted(s.id for s in self.g.strips)
-        handles = sorted(set().union(*named), key=handle_sort_key)
-        index = {h: len(strips) + n for n, h in enumerate(handles)}
-        names = [sum(1 << index[h] for h in hs) for hs in named]
+        bits = [box.side(sep.cs, subset) for sep in seps for subset in (sep.co_side, sep.side)]
         built = {
             "seps": seps,
             "box": box,
             "ints": tuple(zip(bits[0::2], bits[1::2])),
-            "names": tuple(zip(names[0::2], names[1::2])),
-            "feats": tuple(map(box.tail_feature, strips)) + tuple(map(box.family_feature, handles)),
-            "root": tuple(box.tail_feature(s.id) for s in self.g.strips)
-            + tuple(map(box.family_feature, family_handles(self.g, 0))),
             "tame": all(sep.is_tame() for sep in seps),
         }
         for name, value in built.items():
@@ -604,15 +584,18 @@ class SeparationSystem:
         """Consistency plus avoidance of finite stars with finite interior.
 
         Exactly equivalent to enumerating every star inside the
-        orientation: the interior only shrinks as a star grows, and over
-        tame sides every infinite feature of an interior (a strip tail or
-        a cofinite family) can only be removed by a single member pointing
-        away from it.  The search adds one such killer per level, so its
-        depth is bounded by the number of features; branching is
-        worst-case exponential in that small number.  An interior is the
-        AND of its members' big sides and is finite iff it misses
-        ``beyond``, a feature is the beyond bits of one strip or family,
-        and its killers are the members whose big side lacks them.
+        orientation.  An interior is the AND of its members' big sides and
+        is finite iff it misses every one of the box's ``features``.  On a
+        tame side each feature lies wholly inside or wholly outside it:
+        period T belongs to every system's tail component, and copies K
+        and K + 1 lie past every flip and every excluded copy.  So a star
+        of finite interior loses each feature through one member whose big
+        side lacks it, a killer.  The search branches on the killers of
+        the current interior's feature with the fewest, among the members
+        pointing towards the whole star, so its depth is bounded by the
+        number of features and its branching is worst-case exponential in
+        that small number.  A negative verdict names the first star it
+        finds.
         """
         if not self.tame:
             raise NotTameError("tangle checks expect tame separations only")
@@ -621,8 +604,6 @@ class SeparationSystem:
         pair = _first_violation(small_bits, big_bits)
         if pair is not None:
             return TangleVerdict(False, violation=self._members(pair, toward))
-        if not box.beyond:
-            return TangleVerdict(False, star=())
         neighbor_memo: dict[int, set] = {}
 
         def neighbors(i: int) -> set:
@@ -636,28 +617,17 @@ class SeparationSystem:
                 }
             return neighbor_memo[i]
 
-        # The features of the whole graph are its strips and core fans, in
-        # the graph's order.  Below the root they are the strips, sorted by
-        # id, and the families some member of the star names in its big
-        # side's copies, by handle_sort_key; a family under a tail that no
-        # member names is that tail's feature.  ``feats`` lists every family
-        # some side of the system names, and ``allowed`` marks the features
-        # a star may have.
-        feats = self.feats
-        names = [pair[t] for pair, t in zip(self.names, toward, strict=True)]
-
-        def search(inner: int, candidates: set, clique: tuple, allowed: int):
+        def search(inner: int, candidates: set, clique: tuple):
             if not inner & box.beyond:
                 return clique
-            here = [b for n, b in enumerate(feats) if allowed >> n & 1 and inner & b] if clique else self.root
-            killers = min(([i for i in candidates if not big_bits[i] & b] for b in here), key=len)
+            killers = min(([i for i in candidates if not big_bits[i] & b] for b in box.features if inner & b), key=len)
             for i in killers:
-                found = search(inner & big_bits[i], candidates & neighbors(i), clique + (i,), allowed | names[i])
+                found = search(inner & big_bits[i], candidates & neighbors(i), clique + (i,))
                 if found is not None:
                     return found
             return None
 
-        found = search(box.everything, set(range(len(big_bits))), (), (1 << len(self.g.strips)) - 1)
+        found = search(box.everything, set(range(len(big_bits))), ())
         if found is not None:
             return TangleVerdict(False, star=self._members(found, toward))
         return TangleVerdict(True)
@@ -676,21 +646,17 @@ def _defining_vertices(g: PatternGraph, xi: PointOfGamma, h: int) -> frozenset:
     return frozenset(out)
 
 
-def distinguish(g: PatternGraph, xi1: PointOfGamma, xi2: PointOfGamma, max_horizon: int | None = None) -> Separation:
+def distinguish(g: PatternGraph, xi1: PointOfGamma, xi2: PointOfGamma) -> Separation:
     """A tame separation the two points orient oppositely.
 
     Searches growing defining data (critical sets, strip prefixes plus
-    dominators); reports the horizon if it somehow runs out rather than
-    failing silently.
+    dominators) up to 3 periods past the points' last attachment; reports
+    that horizon if it somehow runs out rather than failing silently.
     """
     if xi1 == xi2:
         raise PointsEqualError(str(xi1))
-    if max_horizon is None:
-        max_attach = max(
-            [s.max_attachment_period() for s in g.strips if s.id in (xi1.strip, xi2.strip)] + [-1]
-        )
-        max_horizon = max_attach + 3
-    for h in range(max_horizon + 1):
+    horizon = max([s.max_attachment_period() for s in g.strips if s.id in (xi1.strip, xi2.strip)] + [-1]) + 3
+    for h in range(horizon + 1):
         X = _defining_vertices(g, xi1, h) | _defining_vertices(g, xi2, h)
         cs = delete(g, X)
         f1, f2 = point_filter(cs, xi1), point_filter(cs, xi2)
@@ -707,7 +673,7 @@ def distinguish(g: PatternGraph, xi1: PointOfGamma, xi2: PointOfGamma, max_horiz
         if o1.toward_side == o2.toward_side:
             raise InvariantError(f"the separation found does not distinguish {xi1} from {xi2}")
         return sep
-    raise NotFoundWithinHorizonError(max_horizon)
+    raise NotFoundWithinHorizonError(horizon)
 
 
 # ---------------------------------------------------------------------------

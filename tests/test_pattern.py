@@ -360,6 +360,28 @@ def test_bad_reference_reported_once(case):
     assert kind == "DanglingReference" or "strip t" in v.message
 
 
+# a fault that the spec shows twice is reported once; both were reported
+# twice before, the negative period as a DanglingReference
+REPEATS = {
+    "fan-attach-uncovered": (
+        ("fans", 0), {"id": "f", "template": {"vertices": ["u"], "edges": []}, "attach": ["c", "c"], "attach_edges": []},
+        "AttachmentNotCovered", "fan f", "'c'",
+    ),
+    "attachment-period-negative": (
+        ("strips", 0, "attachments"), [{"core": "c", "period": -1, "local": "p"}] * 2, "MalformedField", "s", "-1",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPEATS))
+def test_repeated_fault_reported_once(case):
+    path, value, kind, element, shown = REPEATS[case]
+    with pytest.raises(PatternValidationError) as exc:
+        validate(_replaced(_ray_raw(), path, value))
+    [v] = exc.value.violations
+    assert (v.kind, v.element) == (kind, element) and shown in v.message
+
+
 def test_null_id_reads_as_missing():
     raw = _ray_raw()
     del raw["strips"][0]["id"], raw["fans"][0]["id"]
