@@ -20,6 +20,7 @@ import argparse
 import functools
 import itertools
 import json
+import os
 import sys
 
 from .ids import VertexId, core, format_vertex, parse_vertex, stripv, vertex_set_key
@@ -295,6 +296,8 @@ def _emit(obj, args) -> None:
 
 def _render_text(obj, indent=0) -> str:
     pad = "  " * indent
+    if isinstance(obj, (dict, list, str)) and not obj:
+        return pad + json.dumps(obj)
     if isinstance(obj, dict):
         lines = []
         for key in obj:
@@ -303,7 +306,7 @@ def _render_text(obj, indent=0) -> str:
                 lines.append(f"{pad}{key}:")
                 lines.append(_render_text(val, indent + 1))
             else:
-                lines.append(f"{pad}{key}: {val if val or val in (0, False) else '[]'}")
+                lines.append(f"{pad}{key}: {_render_text(val)}")
         return "\n".join(lines)
     if isinstance(obj, list):
         lines = []
@@ -312,8 +315,8 @@ def _render_text(obj, indent=0) -> str:
                 lines.append(_render_text(item, indent))
                 lines.append(pad + "-")
             else:
-                lines.append(f"{pad}- {item}")
-        if lines and lines[-1] == pad + "-":
+                lines.append(f"{pad}- {_render_text(item)}")
+        if lines[-1] == pad + "-":
             lines.pop()
         return "\n".join(lines)
     return f"{pad}{obj}"
@@ -427,11 +430,7 @@ def _cmd_distinguish(g: PatternGraph, args) -> int:
 
 
 def _cmd_export_dot(g: PatternGraph, args) -> int:
-    try:
-        fg = truncate(g, args.periods, args.copies)
-    except ValueError as exc:
-        raise CliError(f"BadBounds(periods={args.periods}, copies={args.copies}): {exc}") from None
-    print(truncation_dot(fg), end="")
+    print(truncation_dot(truncate(g, args.periods, args.copies)), end="")
     return 0
 
 
@@ -495,8 +494,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", required=True)
 
     p = command("export-dot", _cmd_export_dot, "DOT of a truncation")
-    p.add_argument("--periods", type=int, default=3)
-    p.add_argument("--copies", type=int, default=3, help="fan copy bound for truncations")
+    p.add_argument("--periods", type=_non_negative, default=3)
+    p.add_argument("--copies", type=_non_negative, default=3, help="fan copy bound for truncations")
 
     return ap
 
@@ -508,7 +507,15 @@ _parser = functools.cache(build_parser)
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.fn(_load(args.spec), args)
+        code = args.fn(_load(args.spec), args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone: send what is still buffered to devnull, so exit flushes quietly
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except CliError as exc:
         print(str(exc), file=sys.stderr)
         return exc.code

@@ -10,11 +10,11 @@ composition and equality decidable.
 
 compose and maps_equal are that algebra for any two maps.  The inverse
 system check (verify_system) runs 4**n chains over a power set of size
-2**n, so it reads each bonding map once into a slot table instead: the
-points of each space plus one generic slot per infinite family, whose
-copies every map treats alike.  A chain's composite is then a tuple
-lookup and its verdict ==, exactly as maps_equal would decide it
-(_slot_tables gives the argument).
+2**n, so it reads each bonding map once into a table of its images of
+probe points: every point of a space except the member copies at copy
+indices no map or space names, which two fresh copies, one per parity,
+stand in for.  A chain's verdict is then a tuple lookup and ==, exactly
+as maps_equal would decide it (_slot_tables gives the argument).
 
 Points are tagged tuples:
     ("named", descriptor_key)   an explicit component
@@ -25,6 +25,7 @@ Points are tagged tuples:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .ids import VertexId, stripv, vertex_set_key
 from .pattern import PatternGraph
@@ -434,10 +435,11 @@ def verify_system(css: dict, maps: dict) -> SystemReport:
 
     Each set's label and condition-(1) probes, each pair's label and the
     sets above each set are built once per call, and so is each map's
-    slot table, read from the maps passed in.  Functoriality,
-    f_ki == f_ji . f_kj for every chain X_i <= X_j <= X_k, is then
-    ``tuple(map(t_ji.__getitem__, t_kj)) == t_ki``, which is exactly
-    ``maps_equal(f_ki, compose(f_ji, f_kj))`` (see ``_slot_tables``).
+    row of images of its source's probe points, read from the maps
+    passed in.  Functoriality, f_ki == f_ji . f_kj for every chain
+    X_i <= X_j <= X_k, is then ``tuple(map(t_ji.__getitem__, t_kj)) ==
+    t_ki``, which is exactly ``maps_equal(f_ki, compose(f_ji, f_kj))``
+    (see ``_slot_tables``).
     """
     report = SystemReport()
     sets = sorted(css, key=lambda X: (len(X), vertex_set_key(X)))
@@ -481,61 +483,29 @@ def verify_system(css: dict, maps: dict) -> SystemReport:
     return report
 
 
-@dataclass(frozen=True)
-class _Slots:
-    """A space's slots: its points one each, then one generic copy per infinite family."""
-
-    space: FduSpace
-    index: dict  # point -> slot
-    generic: dict  # handle -> slot of its copies outside the named indices
-
-
-def _space_slots(space: FduSpace, named: frozenset) -> _Slots:
-    index = {}
-    for p in space.finite_points():
-        index.setdefault(p, len(index))
-    for c in space.clusters:
-        index.setdefault(limit_point(c.limit), len(index))
-    infinite = []
-    for h in space.handles():
-        rule = space.membership_rule(h)
-        if rule.is_infinite():
-            infinite.append(h)
-        for k in rule.members() if rule.is_finite() else sorted(named):
-            if rule(k):
-                index.setdefault(member_point(h, k), len(index))
-    return _Slots(space, index, {h: len(index) + i for i, h in enumerate(infinite)})
-
-
 def _slot_tables(maps: dict) -> dict:
-    """Each bonding map as a tuple: for each source slot, the target slot of its image.
+    """Each bonding map as a tuple: for each source probe, the target slot of its image.
 
-    Slots.  A copy index is named when some map gives it to a single
-    point: as an exception key or image, a const image or a limit image,
-    or when a space lists a copy among its finite points.  Each space has
-    one slot per finite point, per limit point and per member copy with
-    a named index, and one generic slot per family with infinitely many
-    members, standing for all its members with unnamed indices.
+    Probes.  A copy index is named when some map gives it to a single
+    point (as an exception key or image, a const image or a limit image),
+    when a space lists a copy among its finite points, or when it is a
+    flip of some space's membership rule.  With f one past the largest
+    named index, a space's probes are its finite points, its limit points
+    and its member copies at the named indices and at f and f + 1; a
+    probe's slot is its place in that list.
 
     Exactness.  maps_equal(f_ki, compose(f_ji, f_kj)) holds iff
-    f_ki(p) == f_ji(f_kj(p)) for every point p of X_k's space: compose
-    applies the outer map to the inner image, and maps_equal compares
-    every finite point, limit and member copy (distinct rules on an
-    infinite family differ on all but finitely many copies).  A slot
-    other than a generic one is one point, so its table entry is exactly
-    its image's slot.  A map sends a member with an unnamed index k
-    nowhere but through its family's rule, and an identity rule keeps k:
-    so the images of such a member, along any chain, are single named
-    points or copies with index k, and two of them are equal iff their
-    slots are.  The generic slot's entry is therefore the same for every
-    copy it stands for, and equal entries mean equal images.  Named
-    indices are named in every family of every space, so an identity
-    rule never moves a named copy into a generic slot or back.
+    f_ki(p) == f_ji(f_kj(p)) for every point p of X_k's space, and the
+    probes are points, so the tables decide exactly that on the probes.
+    Every flip is named, so at an unnamed index a membership rule holds
+    by the index's parity alone.  A map moves a copy with an unnamed
+    index only through its family's const or identity rule, and identity
+    keeps the index; so along any chain such a copy behaves exactly like
+    the fresh probe of its parity, f or f + 1.
 
-    An image that is not a slot of the map's target raises
-    InvariantError, and so does an identity rule that sends some copy of
-    a generic slot outside the target family, or two maps that disagree
-    on the space over one set: the tables would then decide nothing.
+    An image outside the target's probes raises InvariantError, and so do
+    two maps that disagree on the space over one set: the tables would
+    then decide nothing.
     """
     spaces = {}
     for (Xs, Xt), m in maps.items():
@@ -545,44 +515,35 @@ def _slot_tables(maps: dict) -> dict:
                 raise InvariantError(f"two maps disagree on the space over {sorted(map(str, X))}")
     named = set()
     for m in maps.values():
-        for p, q in m.exceptions.items():
+        consts = (rule[1] for rule in m.handle_rules.values() if rule[0] == "const")
+        for p in chain(m.exceptions, m.exceptions.values(), m.limit_images.values(), consts):
             if p[0] == "member":
                 named.add(p[2])
-            if q[0] == "member":
-                named.add(q[2])
-        for q in m.limit_images.values():
-            if q[0] == "member":
-                named.add(q[2])
-        for rule in m.handle_rules.values():
-            if rule[0] == "const" and rule[1][0] == "member":
-                named.add(rule[1][2])
     for space in spaces.values():
         named.update(p[2] for p in space.finite_points() if p[0] == "member")
-    named = frozenset(named)
-    slots = {X: _space_slots(space, named) for X, space in spaces.items()}
-    return {(Xs, Xt): _slot_table(m, slots[Xs], slots[Xt], named) for (Xs, Xt), m in maps.items()}
+        named.update(*(space.membership_rule(h).flips for h in space.handles()))
+    fresh = max(named, default=-1) + 1
+    indices = (*sorted(named), fresh, fresh + 1)
+    probes = {X: _probe_points(space, indices) for X, space in spaces.items()}
+    slots = {X: dict(zip(points, range(len(points)))) for X, points in probes.items()}
+    return {(Xs, Xt): _slot_table(m, probes[Xs], slots[Xt]) for (Xs, Xt), m in maps.items()}
 
 
-def _slot_table(m: FduMap, src: _Slots, dst: _Slots, named: frozenset) -> tuple:
-    """m's slot table; named holds the named copy indices."""
-    get = dst.index.get
-    row = [get(m.apply(p), -1) for p in src.index]
-    for h in src.generic:
-        rule = m.handle_rules.get(h)
-        if rule is None:
-            raise KeyError(f"no rule for family {h}")
-        if rule[0] == "const":
-            row.append(get(rule[1], -1))
-            continue
-        # every member outside the named indices must be a member of the target family
-        members, target = src.space.membership_rule(h), dst.space.membership_rule(rule[1])
-        gap = RULE_FALSE if members == target else rule_and(members, target.negate())
-        row.append(dst.generic.get(rule[1], -1) if gap.is_finite() and gap.flips <= named else -1)
-    if -1 in row:
-        i = row.index(-1)
-        points = [*src.index, *(f"the unnamed copies of {h}" for h in src.generic)]
-        raise InvariantError(f"the image of {points[i]} is not a point of the target space")
-    return tuple(row)
+def _probe_points(space: FduSpace, indices: tuple) -> tuple:
+    """The space's finite and limit points, then its member copies at the given indices."""
+    points = [*space.finite_points(), *(limit_point(c.limit) for c in space.clusters)]
+    for h in space.handles():
+        rule = space.membership_rule(h)
+        points += [member_point(h, k) for k in indices if rule(k)]
+    return tuple(dict.fromkeys(points))
+
+
+def _slot_table(m: FduMap, probes: tuple, slots: dict) -> tuple:
+    """m's slot table: the target slot of each source probe's image."""
+    row = tuple(map(slots.get, map(m.apply, probes)))
+    if None in row:
+        raise InvariantError(f"the image of {probes[row.index(None)]} is not a point of the target space")
+    return row
 
 
 def _condition1_probes(cs: ComponentSystem):

@@ -2,7 +2,9 @@
 
 import argparse
 import json
+import os
 import re
+import subprocess
 import sys
 import threading
 from pathlib import Path
@@ -214,10 +216,34 @@ def test_export_dot(capsys):
 
 
 def test_export_dot_rejects_negative_bounds(capsys):
-    for flag, value in (("--periods", "-1"), ("--copies", "-2")):
-        code, out, err = run(capsys, "export-dot", SPEC["star"], flag, value)
-        assert (code, out) == (1, ""), flag
-        assert err.startswith("BadBounds(") and err.count("\n") == 1, err
+    for flag, value in (("--periods", "-1"), ("--copies", "-2"), ("--copies", "two")):
+        with pytest.raises(SystemExit) as exc:
+            main(["export-dot", SPEC["star"], flag, value])
+        out = capsys.readouterr()
+        assert (exc.value.code, out.out) == (2, ""), flag
+        assert f"argument {flag}: must be a non-negative integer, got '{value}'" in out.err, out.err
+    assert run(capsys, "export-dot", SPEC["star"], "--periods", "0", "--copies", "0")[0] == 0
+
+
+def test_a_reader_that_closes_the_pipe_ends_the_command_quietly():
+    read, write = os.pipe()
+    os.close(read)  # gone before the command writes a byte
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "omegagraph.cli", "classify", SPEC["comb"]],
+            stdout=write, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+        )
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (1, "")
+
+
+def test_text_mode_shows_empty_values(capsys):
+    code, out, _ = run(capsys, "analyze", SPEC["comb"])
+    assert code == 0 and 'detail: ""' in out and "detail: []" not in out
+    code, out, _ = run(capsys, "limit", SPEC["comb"], "--family", "{};{strip:s1/0/p}")
+    assert code == 0 and out.startswith("family:\n  []\n  -\n  - strip:s1/0/p\n"), out
 
 
 def test_report_full(capsys):

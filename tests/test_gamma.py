@@ -5,11 +5,14 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from omegagraph.components import InvariantError, delete
 from omegagraph.gamma import (
     Cluster,
     Condition4ViolatedError,
+    FduMap,
     FduSpace,
     NotDirectedError,
     bonding_f,
@@ -32,7 +35,7 @@ from omegagraph.gamma import (
 from omegagraph import gamma
 from omegagraph.components import _probe_vertex
 from omegagraph.ids import VertexId, core, parse_vertex, stripv
-from omegagraph.separations import FamilyRule, all_points, crit_point, end_point, distinguish
+from omegagraph.separations import FamilyRule, all_points, crit_point, end_point, distinguish, rule_and
 from conftest import FIXTURE_NAMES, random_deletion, random_pattern
 
 
@@ -623,7 +626,7 @@ def test_verify_system_rejects_a_map_outside_its_spaces():
         verify_system(css, maps)
     m.exceptions[fragment] = image
     m.handle_rules[("fan", "f1")] = ("identity", ("fan", "zz"))
-    with pytest.raises(InvariantError, match=r"the unnamed copies of \('fan', 'f1'\)"):
+    with pytest.raises(InvariantError, match=r"the image of \('member', \('fan', 'f1'\), \d+\) is not a point"):
         verify_system(css, maps)
     m.handle_rules[("fan", "f1")] = ("identity", ("fan", "f1"))
     assert verify_system(css, maps).ok
@@ -677,6 +680,115 @@ def test_system_builds_each_space_tables_once(fixtures, monkeypatch):
     # one per space (32) and one per map (243), however many chains (4**5) run through them
     assert counts == {"tables": len(family), "slot tables": 3 ** 5, "compose": 0, "maps_equal": 0}, counts
 
+
+
+# ---------------------------------------------------------------------------
+# The probe points of the functoriality tables on hand-built spaces
+
+_H1, _H2 = ("fan", "f1"), ("fan", "f2")
+_A, _B = ("named", "A"), ("named", "B")
+
+
+def _family_space(rule: FamilyRule) -> FduSpace:
+    return FduSpace((_A,), (Cluster("L", (), ((_H1, rule),)),))
+
+
+def _identity_into(src: FduSpace, dst: FduSpace) -> FduMap:
+    return FduMap(src, dst, {_A: _A}, {_H1: ("identity", _H1)}, {"L": limit_point("L")})
+
+
+def test_identity_rule_into_a_family_excluding_an_unnamed_copy_raises():
+    # no map names copy 3; only the target's membership flips it out
+    src, dst = _family_space(FamilyRule("true")), _family_space(FamilyRule("true", frozenset({3})))
+    with pytest.raises(InvariantError, match="is not a point of the target space"):
+        gamma._slot_tables({("s", "t"): _identity_into(src, dst)})
+    assert gamma._slot_tables({("s", "t"): _identity_into(dst, src)})
+
+
+def test_identity_rule_from_a_finite_family_into_an_infinite_one():
+    # copies 0 and 1 are points of the source only through its membership's flips
+    src, dst = _family_space(FamilyRule("false", frozenset({0, 1}))), _family_space(FamilyRule("true"))
+    (row,) = gamma._slot_tables({("s", "t"): _identity_into(src, dst)}).values()
+    assert row == (0, 1, 2, 3)  # A, L and copies 0 and 1
+
+
+@pytest.mark.parametrize("src_base, dst_base", [("even", "odd"), ("odd", "even"), ("even", "even")])
+def test_identity_rule_between_parities(src_base, dst_base):
+    m = _identity_into(_family_space(FamilyRule(src_base)), _family_space(FamilyRule(dst_base)))
+    if src_base == dst_base:
+        (row,) = gamma._slot_tables({("s", "t"): m}).values()
+        assert row == tuple(range(len(row))) and len(row) == 3  # A, L and one fresh copy
+    else:
+        with pytest.raises(InvariantError, match="is not a point of the target space"):
+            gamma._slot_tables({("s", "t"): m})
+
+
+_COPIES = range(6)
+
+
+@st.composite
+def _spaces(draw):
+    isolated = [_A] + [_B] * draw(st.booleans())
+    clusters = []
+    for h in (_H1, _H2):
+        base = draw(st.sampled_from(["true", "even", "odd", None]))
+        if base is not None:
+            flips = draw(st.frozensets(st.sampled_from(_COPIES), max_size=3))
+            clusters.append(Cluster(("L", h), (), ((h, FamilyRule(base, flips)),)))
+    return FduSpace(tuple(isolated), tuple(clusters))
+
+
+def _members(space: FduSpace) -> list:
+    return [member_point(h, k) for h in space.handles() for k in _COPIES if space.membership_rule(h)(k)]
+
+
+def _space_points(space: FduSpace) -> list:
+    return [*space.finite_points(), *(limit_point(c.limit) for c in space.clusters), *_members(space)]
+
+
+@st.composite
+def _maps(draw, src: FduSpace, dst: FduSpace) -> FduMap:
+    """A map whose every image, explicit or by an identity rule, is a point of dst."""
+    image = st.sampled_from(_space_points(dst))
+    exceptions = {p: draw(image) for p in src.finite_points()}
+    if _members(src):
+        for p in draw(st.lists(st.sampled_from(_members(src)), max_size=3)):
+            exceptions[p] = draw(image)
+    handle_rules = {}
+    for h in src.handles():
+        target = draw(st.sampled_from([None, *dst.handles()]))
+        gap = None if target is None else rule_and(src.membership_rule(h), dst.membership_rule(target).negate())
+        if gap is None or gap.is_infinite():
+            handle_rules[h] = ("const", draw(image))
+            continue
+        handle_rules[h] = ("identity", target)
+        for k in gap.members():
+            exceptions.setdefault(member_point(h, k), draw(image))
+    limit_images = {c.limit: draw(image) for c in src.clusters}
+    return FduMap(src, dst, exceptions, handle_rules, limit_images)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_chain_verdict_from_tables_matches_maps_equal(data):
+    si, sj, sk = (data.draw(_spaces()) for _ in range(3))
+    f_kj, f_ji = data.draw(_maps(sk, sj)), data.draw(_maps(sj, si))
+    if data.draw(st.booleans()):
+        f_ki = compose(f_ji, f_kj)  # equal, unless one image or family rule is redrawn
+        if data.draw(st.booleans()):
+            p = data.draw(st.sampled_from([*_space_points(sk), *sk.handles()]))
+            q = data.draw(st.sampled_from(_space_points(si)))
+            if p[0] == "limit":
+                f_ki.limit_images[p[1]] = q
+            elif p in sk.handles():
+                f_ki.handle_rules[p] = ("const", q)
+            else:
+                f_ki.exceptions[p] = q
+    else:
+        f_ki = data.draw(_maps(sk, si))
+    tables = gamma._slot_tables({("k", "j"): f_kj, ("j", "i"): f_ji, ("k", "i"): f_ki})
+    verdict = tuple(map(tables[("j", "i")].__getitem__, tables[("k", "j")])) == tables[("k", "i")]
+    assert verdict == maps_equal(f_ki, compose(f_ji, f_kj))
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_functoriality_fails_on_the_chains_through_a_corrupted_map(fixtures, n):
